@@ -171,6 +171,28 @@ struct LoadedModel {
     kernel_csv: String,
     fingerprint: u64,
     gear: PowerGear,
+    /// Metadata widths the members that read metadata require (sorted,
+    /// deduplicated; empty when no member reads metadata).
+    meta_dims: Vec<usize>,
+}
+
+impl LoadedModel {
+    /// Why `graphs` cannot be served by this model, if they cannot: every
+    /// graph must carry exactly the metadata width its members were built
+    /// for. A narrower graph would be zero-padded by its batch neighbours
+    /// (a batch-dependent prediction) or fail the model's width check.
+    fn reject(&self, graphs: &[PowerGraph]) -> Option<String> {
+        let g = graphs
+            .iter()
+            .find(|g| self.meta_dims.iter().any(|&d| d != g.meta.len()))?;
+        Some(format!(
+            "graph `{}` has {} metadata features, model `{}` expects {:?}",
+            g.design_id,
+            g.meta.len(),
+            self.name,
+            self.meta_dims
+        ))
+    }
 }
 
 /// The immutable routing catalog a batch executes against. Swaps replace
@@ -255,12 +277,21 @@ fn load_model(name: &str, path: &Path) -> Result<LoadedModel, StoreError> {
         .map(|k| k.trim().to_string())
         .filter(|k| !k.is_empty())
         .collect();
+    let mut meta_dims: Vec<usize> = [&gear.total_model, &gear.dynamic_model]
+        .iter()
+        .flat_map(|e| &e.models)
+        .filter(|m| m.config.use_metadata)
+        .map(|m| m.config.meta_dim)
+        .collect();
+    meta_dims.sort_unstable();
+    meta_dims.dedup();
     Ok(LoadedModel {
         name: name.to_string(),
         kernels,
         kernel_csv,
         fingerprint: artifact.meta.train_fingerprint,
         gear,
+        meta_dims,
     })
 }
 
@@ -701,6 +732,15 @@ fn predict(shared: &Shared, payload: &[u8]) -> frame::RawFrame {
             return error_frame(error_code::BAD_REQUEST, format!("bad predict request: {e}"));
         }
     };
+    // Rejected here, before admission: an empty graph cannot be batched,
+    // and a panic in the shared batcher would strand every later request.
+    if let Some(g) = request.graphs.iter().find(|g| g.num_nodes == 0) {
+        shared.record_error();
+        return error_frame(
+            error_code::BAD_REQUEST,
+            format!("graph `{}` has no nodes", g.design_id),
+        );
+    }
     let (tx, rx) = mpsc::channel();
     let weight = request.graphs.len();
     let job = Job {
@@ -757,6 +797,14 @@ fn batcher_loop(shared: &Shared) {
         for job in jobs {
             match catalog.route(&job.kernel) {
                 Some(model) => {
+                    // Checked against the model that will run the job, so
+                    // a bad request is answered alone and never joins a
+                    // shared engine batch.
+                    if let Some(why) = model.reject(&job.graphs) {
+                        shared.record_error();
+                        let _ = job.reply.send(error_frame(error_code::BAD_REQUEST, why));
+                        continue;
+                    }
                     groups
                         .entry(model.name.clone())
                         .or_insert_with(|| (model, Vec::new()))

@@ -31,6 +31,7 @@
 pub mod ablation;
 pub mod admission;
 pub mod batch;
+pub mod infer;
 pub mod model;
 pub mod serve;
 pub mod train;

@@ -12,6 +12,12 @@
 //! computed as `W_r · W_E · Σ_u e_{u,v,r}` — edge features are scatter-added
 //! per relation *before* the two projections, which is mathematically
 //! identical to Eq. 5 and far cheaper.
+//!
+//! Two forward passes share these semantics. [`PowerModel::forward`]
+//! records onto an autodiff [`Tape`] and serves training (and is the
+//! reference the tests compare against); [`PowerModel::forward_eval`]
+//! (module [`crate::infer`]) is the eval-only pass every prediction runs —
+//! no tape nodes, borrowed parameters and features, bit-identical output.
 
 use crate::batch::{GraphBatch, RelEdges};
 use pg_graphcon::{PowerGraph, Relation};
@@ -177,23 +183,23 @@ impl ModelConfig {
 }
 
 #[derive(Debug, Clone, Default, PartialEq)]
-struct Slots {
-    wv: Vec<usize>,
-    we: Vec<usize>,
+pub(crate) struct Slots {
+    pub(crate) wv: Vec<usize>,
+    pub(crate) we: Vec<usize>,
     /// Per-layer, per-head attention score vectors (HEC, `heads > 0`).
-    wa: Vec<Vec<usize>>,
+    pub(crate) wa: Vec<Vec<usize>>,
     /// Per-layer, per-head edge projections (HEC, `heads > 0`).
-    weh: Vec<Vec<usize>>,
-    wr: Vec<Vec<usize>>,
-    w2: Vec<usize>,
-    w3: Vec<usize>,
-    bias: Vec<usize>,
-    meta_w: usize,
-    meta_b: usize,
-    head_w1: usize,
-    head_b1: usize,
-    head_w2: usize,
-    head_b2: usize,
+    pub(crate) weh: Vec<Vec<usize>>,
+    pub(crate) wr: Vec<Vec<usize>>,
+    pub(crate) w2: Vec<usize>,
+    pub(crate) w3: Vec<usize>,
+    pub(crate) bias: Vec<usize>,
+    pub(crate) meta_w: usize,
+    pub(crate) meta_b: usize,
+    pub(crate) head_w1: usize,
+    pub(crate) head_b1: usize,
+    pub(crate) head_w2: usize,
+    pub(crate) head_b2: usize,
 }
 
 /// A trainable power-regression model.
@@ -210,7 +216,7 @@ pub struct PowerModel {
     pub config: ModelConfig,
     /// Parameters.
     pub store: ParamStore,
-    slots: Slots,
+    pub(crate) slots: Slots,
     /// Output scale: the model regresses `(power - target_shift) /
     /// target_scale`.
     pub target_scale: f32,
@@ -321,11 +327,13 @@ impl PowerModel {
     }
 
     fn p(&self, tape: &mut Tape, slot: usize) -> Var {
-        tape.param(slot, self.store.get(slot).clone())
+        tape.param(slot, self.store.get(slot))
     }
 
-    /// Forward pass over a batch; returns the `G × 1` normalized-power
-    /// prediction node.
+    /// Forward pass over a batch, recorded onto `tape` for backward;
+    /// returns the `G × 1` normalized-power prediction node. Prediction
+    /// uses the tape-free [`PowerModel::forward_eval`] instead, which
+    /// matches this pass with `train = false` bit for bit.
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -334,7 +342,7 @@ impl PowerModel {
         rng: &mut Rng64,
     ) -> Var {
         let n = batch.num_nodes;
-        let mut x = tape.leaf(batch.node_feats.clone());
+        let mut x = tape.leaf(&batch.node_feats);
         let mut layer_outputs = Vec::with_capacity(self.config.layers);
         for l in 0..self.config.layers {
             let h = match self.config.arch {
@@ -378,7 +386,7 @@ impl PowerModel {
                 "metadata width mismatch: batch has {}, model expects {}",
                 batch.meta.cols, self.config.meta_dim
             );
-            let meta = tape.leaf(batch.meta.clone());
+            let meta = tape.leaf(&batch.meta);
             let mw = self.p(tape, self.slots.meta_w);
             let mb = self.p(tape, self.slots.meta_b);
             let hm = tape.linear_bias_relu(meta, mw, mb);
@@ -397,7 +405,7 @@ impl PowerModel {
 
     /// Relation groups the HEC layer aggregates over, honoring the
     /// heterogeneity and directionality switches.
-    fn hec_groups<'a>(&self, batch: &'a GraphBatch) -> Vec<(usize, &'a RelEdges)> {
+    pub(crate) fn hec_groups<'a>(&self, batch: &'a GraphBatch) -> Vec<(usize, &'a RelEdges)> {
         let mut groups: Vec<(usize, &RelEdges)> = Vec::new();
         if self.config.heterogeneous {
             for (r, e) in batch.rel.iter().enumerate() {
@@ -432,7 +440,7 @@ impl PowerModel {
             let agg = if let Some(we) = we {
                 if self.config.use_edge_feats {
                     // Σ_u e_{u,v,r} first (linearity of Eq. 5), then W_E, W_r.
-                    let ef = tape.leaf(edges.feats.clone());
+                    let ef = tape.leaf(&edges.feats);
                     let summed = tape.scatter_add(ef, &edges.dst, n);
                     tape.matmul(summed, we)
                 } else {
@@ -470,7 +478,7 @@ impl PowerModel {
         n: usize,
     ) -> Var {
         let ein = if self.config.use_edge_feats {
-            tape.leaf(edges.feats.clone())
+            tape.leaf(&edges.feats)
         } else {
             tape.gather(x, &edges.src)
         };
@@ -546,7 +554,7 @@ impl PowerModel {
             return tape.linear_bias_relu(x, wv, b);
         }
         let hs = tape.gather(x, &batch.all.src);
-        let ef = tape.leaf(batch.all.feats.clone());
+        let ef = tape.leaf(&batch.all.feats);
         let we = self.p(tape, self.slots.we[l]);
         let ep = tape.matmul(ef, we);
         let s = tape.add(hs, ep);
@@ -616,17 +624,20 @@ impl PowerModel {
         self.predict_prebuilt_in(batch, &mut tape)
     }
 
-    /// [`PowerModel::predict_prebuilt`] recording onto a caller-owned tape
-    /// (reset first), so serving workers can reuse one tape per shard.
+    /// [`PowerModel::predict_prebuilt`] drawing its buffers from a
+    /// caller-owned tape (reset first), so serving workers can reuse one
+    /// tape per shard. Runs the tape-free [`PowerModel::forward_eval`]; the
+    /// tape records nothing and serves only as a buffer pool.
     pub fn predict_prebuilt_in(&self, batch: &GraphBatch, tape: &mut Tape) -> Vec<f64> {
         tape.reset();
-        let mut rng = Rng64::new(0);
-        let pred = self.forward(tape, batch, false, &mut rng);
-        tape.value(pred)
+        let pred = self.forward_eval(batch, tape);
+        let out = pred
             .data
             .iter()
             .map(|&v| ((v * self.target_scale + self.target_shift) as f64).max(1e-3))
-            .collect()
+            .collect();
+        tape.recycle(pred);
+        out
     }
 }
 

@@ -16,6 +16,12 @@
 //! sequential path for any batch size and thread count (enforced by the
 //! workspace's parity property test).
 //!
+//! Every prediction runs the tape-free eval forward
+//! ([`crate::PowerModel::forward_eval`]): no autodiff nodes are recorded,
+//! parameters and batch features are borrowed rather than copied, and
+//! each worker's [`pg_tensor::Tape`] serves only as a buffer pool reused
+//! across its batches and ensemble members.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -193,7 +199,8 @@ impl<'a> InferenceEngine<'a> {
     }
 
     /// One worker's batches through the sequential path, sharing a single
-    /// tape whose arenas are reused across batches and ensemble members.
+    /// tape whose buffer pool is reused across batches and ensemble
+    /// members.
     /// Delegating to [`Ensemble::predict_in`] makes the bit-identity
     /// contract hold by construction (the engine only changes batch
     /// composition, scheduling, and buffer reuse — never the arithmetic).

@@ -115,8 +115,9 @@ impl Ensemble {
         self.predict_in(graphs, &mut tape)
     }
 
-    /// [`Ensemble::predict`] recording onto a caller-owned tape, so serving
-    /// workers can reuse one tape's arenas across batches and members.
+    /// [`Ensemble::predict`] drawing buffers from a caller-owned tape, so
+    /// serving workers can reuse one tape's pool across batches and
+    /// members (the tape-free forward records nothing on it).
     /// Output is bit-identical to [`Ensemble::predict`].
     pub fn predict_in(&self, graphs: &[&PowerGraph], tape: &mut Tape) -> Vec<f64> {
         assert!(!self.models.is_empty(), "empty ensemble");

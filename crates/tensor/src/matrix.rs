@@ -26,20 +26,21 @@
 //! same float semantics, and call sites — nothing depends on allocation
 //! state or thread count.
 //!
-//! `matmul` and `matmul_tn` additionally exploit left-operand sparsity
-//! (one-hot node features, post-ReLU activations) with a **guarded**
-//! zero-skip: the right operand is scanned once per call, and only when
-//! it is entirely finite are `a == 0.0` contributions skipped. Under that
-//! guard the skip is *bitwise identical* to the dense k-ascending sum —
-//! each skipped product is `±0.0` (zero times a finite value), an
-//! accumulator initialized to `+0.0` can never become `-0.0` through
-//! addition (IEEE round-to-nearest yields `-0.0` only from `-0.0 + -0.0`),
-//! and `x + ±0.0 == x` bitwise for every `x ≠ -0.0`. When the right
-//! operand contains NaN/Inf the dense path runs, so non-finite values
-//! propagate exactly as written (`0 · NaN = NaN`, `0 · ∞ = NaN`). Earlier
-//! revisions skipped zeros *unconditionally*, which silently dropped
-//! NaN/Inf from the right operand; the tape boundary now also backstops
-//! finiteness with debug assertions (see `pg_tensor::tape`).
+//! All kernels are dense: every product `a·b` is added, zeros included,
+//! so NaN/Inf in either operand propagate exactly as IEEE prescribes
+//! (`0 · NaN = NaN`, `0 · ∞ = NaN`). Earlier revisions skipped `a == 0.0`
+//! contributions of sparse left operands (one-hot node features,
+//! post-ReLU activations), first unconditionally — which silently dropped
+//! NaN/Inf from the right operand — then only when the right operand was
+//! entirely finite. The guarded skip was bitwise identical to the dense
+//! sum, so removing it changed no result; it only cost time, because the
+//! per-element branch mispredicts on post-ReLU data and the guard scanned
+//! the right operand on every call. The identity: with a finite right
+//! operand each skipped product is `±0.0`; an accumulator initialized to
+//! `+0.0` can never become `-0.0` through addition (under
+//! round-to-nearest `-0.0` arises only from `-0.0 + -0.0`, and `x + (-x)`
+//! is `+0.0`); and `x + ±0.0 == x` bitwise for every `x ≠ -0.0`. So
+//! adding the zero products leaves every partial sum unchanged.
 //!
 //! The `*_into` variants write into a caller-provided output matrix so
 //! hot loops (the autodiff tape's arena) can recycle buffers instead of
@@ -143,25 +144,25 @@ impl Matrix {
         out.reshape_for_output(m, n);
         let a = &self.data;
         let b = &other.data;
-        // Guarded zero-skip: exact (bitwise) only when b is all-finite;
-        // see the module docs for the proof sketch.
-        let skip = other.is_finite();
         let mut i = 0;
         while i < m {
             let ir = (m - i).min(MR);
+            let arows = &a[i * kk..(i + ir) * kk];
             let mut j = 0;
             while j < n {
                 let jr = (n - j).min(NR);
                 if ir == MR && jr == NR {
-                    // Register tile: MR×NR accumulators, k ascending.
+                    // Register tile: MR×NR accumulators, k ascending. The
+                    // MR left rows are pre-sliced and zipped with the B
+                    // rows, so the k loop carries no bounds checks.
+                    let (a0, rest) = arows.split_at(kk);
+                    let (a1, rest) = rest.split_at(kk);
+                    let (a2, a3) = rest.split_at(kk);
                     let mut acc = [[0.0f32; NR]; MR];
-                    for k in 0..kk {
-                        let brow = &b[k * n + j..k * n + j + NR];
-                        for (r, arow) in acc.iter_mut().enumerate() {
-                            let av = a[(i + r) * kk + k];
-                            if skip && av == 0.0 {
-                                continue;
-                            }
+                    let lefts = a0.iter().zip(a1).zip(a2).zip(a3);
+                    for ((((&x0, &x1), &x2), &x3), bk) in lefts.zip(b.chunks_exact(n)) {
+                        let brow = panel(bk, j);
+                        for (arow, av) in acc.iter_mut().zip([x0, x1, x2, x3]) {
                             for (o, &bv) in arow.iter_mut().zip(brow) {
                                 *o += av * bv;
                             }
@@ -173,13 +174,10 @@ impl Matrix {
                 } else {
                     // Fringe: scalar loop, identical k-ascending order.
                     for r in 0..ir {
+                        let arow = &arows[r * kk..(r + 1) * kk];
                         for c in 0..jr {
                             let mut s = 0.0f32;
-                            for k in 0..kk {
-                                let av = a[(i + r) * kk + k];
-                                if skip && av == 0.0 {
-                                    continue;
-                                }
+                            for (k, &av) in arow.iter().enumerate() {
                                 s += av * b[k * n + j + c];
                             }
                             out.data[(i + r) * n + j + c] = s;
@@ -243,9 +241,6 @@ impl Matrix {
         out.reshape_for_output(m, n);
         let a = &self.data;
         let b = &other.data;
-        // Guarded zero-skip (see module docs); in the backward pass `self`
-        // is a post-ReLU activation, so this prunes roughly half the rows.
-        let skip = other.is_finite();
         // out[i][j] = Σ_k a[k][i] · b[k][j]; the k loop is innermost so
         // every output element sums k in ascending order, matching the
         // other kernels' contract. An MR×NR register tile amortizes the
@@ -258,13 +253,9 @@ impl Matrix {
                 let jr = (n - j).min(NR);
                 if ir == MR && jr == NR {
                     let mut acc = [[0.0f32; NR]; MR];
-                    for k in 0..kk {
-                        let brow = &b[k * n + j..k * n + j + NR];
-                        for (r, arow) in acc.iter_mut().enumerate() {
-                            let av = a[k * m + i + r];
-                            if skip && av == 0.0 {
-                                continue;
-                            }
+                    for (ak, bk) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+                        let brow = panel(bk, j);
+                        for (arow, &av) in acc.iter_mut().zip(&ak[i..i + MR]) {
                             for (o, &bv) in arow.iter_mut().zip(brow) {
                                 *o += av * bv;
                             }
@@ -278,11 +269,7 @@ impl Matrix {
                         for c in 0..jr {
                             let mut s = 0.0f32;
                             for k in 0..kk {
-                                let av = a[k * m + i + r];
-                                if skip && av == 0.0 {
-                                    continue;
-                                }
-                                s += av * b[k * n + j + c];
+                                s += a[k * m + i + r] * b[k * n + j + c];
                             }
                             out.data[(i + r) * n + j + c] = s;
                         }
@@ -349,6 +336,121 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
+    /// `self[r] += bias` for every row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias` is not `1 × self.cols`.
+    pub fn add_row_assign(&mut self, bias: &Matrix) {
+        check_bias(self, bias);
+        for row in self.data.chunks_exact_mut(self.cols.max(1)) {
+            for (x, &bv) in row.iter_mut().zip(&bias.data) {
+                *x += bv;
+            }
+        }
+    }
+
+    /// `self[r] = relu(self[r] + bias)` for every row `r`: the fused
+    /// bias-and-ReLU epilogue. `z > 0 ? z : 0` maps NaN and `-0.0` to
+    /// `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias` is not `1 × self.cols`.
+    pub fn add_row_relu_assign(&mut self, bias: &Matrix) {
+        check_bias(self, bias);
+        for row in self.data.chunks_exact_mut(self.cols.max(1)) {
+            for (x, &bv) in row.iter_mut().zip(&bias.data) {
+                let z = *x + bv;
+                *x = if z > 0.0 { z } else { 0.0 };
+            }
+        }
+    }
+
+    /// Multiplies row `r` by `w[r]`.
+    pub fn scale_rows_assign(&mut self, w: &[f32]) {
+        for (row, &k) in self.data.chunks_exact_mut(self.cols.max(1)).zip(w) {
+            for x in row {
+                *x *= k;
+            }
+        }
+    }
+
+    /// Scatter-add of rows into `out` (reshaped to `rows × self.cols`):
+    /// `out[idx[i]] += self[i]` in ascending `i`, from zeros.
+    pub fn scatter_add_into(&self, idx: &[u32], rows: usize, out: &mut Matrix) {
+        out.reshape_for_output(rows, self.cols);
+        for (i, &j) in idx.iter().enumerate() {
+            for (o, &x) in out.row_mut(j as usize).iter_mut().zip(self.row(i)) {
+                *o += x;
+            }
+        }
+    }
+
+    /// Scatter-max of rows into `out` (reshaped to `rows × self.cols`):
+    /// per column, the first row of a segment sets the value and later rows
+    /// replace it only when strictly greater; empty segments stay `0.0`.
+    /// `argmax` receives, per output element, the winning input row
+    /// (`u32::MAX` for empty segments).
+    pub fn scatter_max_into(
+        &self,
+        idx: &[u32],
+        rows: usize,
+        out: &mut Matrix,
+        argmax: &mut Vec<u32>,
+    ) {
+        let cols = self.cols;
+        out.reshape_for_output(rows, cols);
+        argmax.clear();
+        argmax.resize(rows * cols, u32::MAX);
+        for (i, &j) in idx.iter().enumerate() {
+            let seg = j as usize * cols..(j as usize + 1) * cols;
+            let winners = argmax[seg.clone()].iter_mut();
+            for ((o, w), &v) in out.data[seg].iter_mut().zip(winners).zip(self.row(i)) {
+                if *w == u32::MAX || v > *o {
+                    *o = v;
+                    *w = i as u32;
+                }
+            }
+        }
+    }
+
+    /// Per-segment softmax of a single column, in place: row `i` belongs to
+    /// segment `seg[i]`, and each segment's entries become a softmax of
+    /// its inputs (max-subtracted). `maxes` and `sums` are scratch, resized
+    /// to `segments`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not a column or `seg.len() != self.rows`.
+    pub fn segment_softmax_assign(
+        &mut self,
+        seg: &[u32],
+        segments: usize,
+        maxes: &mut Vec<f32>,
+        sums: &mut Vec<f32>,
+    ) {
+        assert_eq!(self.cols, 1, "segment_softmax input must be a column");
+        assert_eq!(seg.len(), self.rows, "segment index count mismatch");
+        maxes.clear();
+        maxes.resize(segments, f32::NEG_INFINITY);
+        sums.clear();
+        sums.resize(segments, 0.0);
+        let data = &mut self.data;
+        for (&v, &s) in data.iter().zip(seg) {
+            if v > maxes[s as usize] {
+                maxes[s as usize] = v;
+            }
+        }
+        for (v, &s) in data.iter_mut().zip(seg) {
+            *v = (*v - maxes[s as usize]).exp();
+            sums[s as usize] += *v;
+        }
+        for (v, &s) in data.iter_mut().zip(seg) {
+            *v /= sums[s as usize];
+        }
+    }
+
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -368,6 +470,20 @@ impl Matrix {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
+}
+
+/// Asserts `bias` is a `1 × m.cols` row vector.
+fn check_bias(m: &Matrix, bias: &Matrix) {
+    assert_eq!(bias.rows, 1, "bias must be a row vector");
+    assert_eq!(bias.cols, m.cols, "bias width mismatch");
+}
+
+/// The `NR`-wide panel of a right-operand row starting at column `j`, as a
+/// fixed-size array so the tile's lane loop has a constant trip count and
+/// no per-element bounds checks.
+#[inline]
+fn panel(row: &[f32], j: usize) -> &[f32; NR] {
+    row[j..j + NR].try_into().expect("full register tile")
 }
 
 /// Dot product of two equal-length slices: `NR` independent lanes over the
@@ -503,44 +619,73 @@ mod tests {
 
     #[test]
     fn zero_skip_is_bitwise_identical_to_dense_sum() {
-        // Mostly-zero left operand (one-hot-ish rows plus sign-varied
-        // values, including -0.0) against a finite right operand: the
-        // guarded fast path must reproduce the dense k-ascending sum
-        // bit-for-bit, including on fringe tiles.
+        // Left operands the GNN produces — one-hot rows, post-ReLU zeros,
+        // -0.0, and tiny values whose products underflow to ±0.0 — must
+        // reproduce the dense k-ascending reference bit for bit, on tile
+        // interiors and fringes alike.
         let (m, k, n) = (9, 11, 13);
-        let a = Matrix::from_vec(
-            m,
-            k,
-            (0..m * k)
-                .map(|v| match v % 7 {
+        let b = Matrix::from_vec(k, n, (0..k * n).map(|v| (v as f32) * -0.23 + 1.5).collect());
+        let tiny = Matrix::from_vec(k, n, b.data.iter().map(|v| v * 1e-20).collect());
+        let left = |f: fn(usize) -> f32| Matrix::from_vec(m, k, (0..m * k).map(f).collect());
+        let cases = [
+            (
+                "mixed zeros",
+                left(|v| match v % 7 {
                     0 => (v as f32) * 0.31 - 3.0,
                     3 => -0.0,
                     _ => 0.0,
-                })
-                .collect(),
-        );
-        let b = Matrix::from_vec(k, n, (0..k * n).map(|v| (v as f32) * -0.23 + 1.5).collect());
-        let got = a.matmul(&b);
-        let want = reference_matmul(&a, &b);
-        for (g, w) in got.data.iter().zip(&want.data) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-        let at = a.transpose();
-        let got_tn = at.matmul_tn(&b);
-        for (g, w) in got_tn.data.iter().zip(&want.data) {
-            assert_eq!(g.to_bits(), w.to_bits());
+                }),
+                &b,
+            ),
+            (
+                "post-relu",
+                left(|v| ((v as f32) * 0.77).sin().max(0.0)),
+                &b,
+            ),
+            (
+                "one-hot",
+                left(|v| f32::from(u8::from(v % 11 == (v / 11) % 11))),
+                &b,
+            ),
+            (
+                "underflow",
+                left(|v| if v % 2 == 0 { -1e-30 } else { 1e-30 }),
+                &tiny,
+            ),
+        ];
+        for (name, a, right) in cases {
+            let want = reference_matmul(&a, right);
+            let bits = |x: &Matrix| x.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.matmul(right)), bits(&want), "matmul, {name}");
+            assert_eq!(
+                bits(&a.transpose().matmul_tn(right)),
+                bits(&want),
+                "matmul_tn, {name}"
+            );
         }
     }
 
     #[test]
     fn nan_propagates_through_zero_operands() {
-        // The dense kernels must honor IEEE: 0 · NaN = NaN (the old
-        // sparsity skip silently produced 0 here).
+        // The dense kernels honor IEEE: 0 · NaN = 0 · ∞ = NaN (the old
+        // unguarded sparsity skip silently produced 0 here), on full tiles
+        // as well as fringes.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for (m, k, n) in [(1, 2, 1), (4, 3, 8), (5, 3, 9)] {
+                let a = Matrix::zeros(m, k);
+                let mut b = Matrix::from_vec(k, n, vec![1.0; k * n]);
+                for c in 0..n {
+                    *b.at_mut(k - 1, c) = bad;
+                }
+                assert!(a.matmul(&b).data.iter().all(|v| v.is_nan()), "matmul {bad}");
+                let at = Matrix::zeros(k, m);
+                assert!(
+                    at.matmul_tn(&b).data.iter().all(|v| v.is_nan()),
+                    "matmul_tn {bad}"
+                );
+            }
+        }
         let a = Matrix::from_vec(1, 2, vec![0.0, 0.0]);
-        let b = Matrix::from_vec(2, 1, vec![f32::NAN, 1.0]);
-        assert!(a.matmul(&b).data[0].is_nan());
-        let at = Matrix::from_vec(2, 1, vec![0.0, 0.0]);
-        assert!(at.matmul_tn(&b).data[0].is_nan());
         assert!(a
             .matmul_nt(&Matrix::from_vec(1, 2, vec![f32::NAN, 0.0]))
             .data[0]

@@ -34,8 +34,8 @@
 //! ```
 //! use pg_tensor::{Matrix, Tape};
 //! let mut t = Tape::new();
-//! let x = t.leaf(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
-//! let w = t.param(0, Matrix::from_vec(2, 1, vec![0.5, -0.25]));
+//! let x = t.leaf(&Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+//! let w = t.param(0, &Matrix::from_vec(2, 1, vec![0.5, -0.25]));
 //! let y = t.matmul(x, w);
 //! let loss = t.mse_loss(y, &[1.0]);
 //! let grads = t.backward(loss);
@@ -115,19 +115,19 @@ fn copy_f32(pool: &mut Vec<Vec<f32>>, src: &[f32]) -> Vec<f32> {
     b
 }
 
+/// Pool-backed copy of a matrix.
+fn copy_matrix(pool: &mut Vec<Vec<f32>>, m: &Matrix) -> Matrix {
+    Matrix {
+        rows: m.rows,
+        cols: m.cols,
+        data: copy_f32(pool, &m.data),
+    }
+}
+
 fn copy_u32(pool: &mut Vec<Vec<u32>>, src: &[u32]) -> Vec<u32> {
     let mut b = pool.pop().unwrap_or_default();
     b.clear();
     b.extend_from_slice(src);
-    b
-}
-
-/// Pops a buffer from `pool` (or allocates) and resizes it to `len` copies
-/// of `fill`.
-fn take_u32(pool: &mut Vec<Vec<u32>>, len: usize, fill: u32) -> Vec<u32> {
-    let mut b = pool.pop().unwrap_or_default();
-    b.clear();
-    b.resize(len, fill);
     b
 }
 
@@ -172,21 +172,41 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// Constant leaf (no gradient).
+    /// Constant leaf (no gradient), copied into a pooled buffer.
     ///
     /// Debug builds assert the input is finite — the matmul kernels are
     /// IEEE-faithful, so a NaN entering here poisons everything downstream.
-    pub fn leaf(&mut self, m: Matrix) -> Var {
+    pub fn leaf(&mut self, m: &Matrix) -> Var {
         debug_assert!(m.is_finite(), "non-finite leaf entered the tape");
-        self.push(m, Op::Leaf { param: None })
+        let v = copy_matrix(&mut self.f32_pool, m);
+        self.push(v, Op::Leaf { param: None })
     }
 
-    /// Parameter leaf; `slot` indexes the gradient vector returned by
-    /// [`Tape::backward`]. Debug builds assert the parameter is finite.
-    pub fn param(&mut self, slot: usize, m: Matrix) -> Var {
+    /// Parameter leaf, copied into a pooled buffer; `slot` indexes the
+    /// gradient vector returned by [`Tape::backward`]. Debug builds assert
+    /// the parameter is finite.
+    pub fn param(&mut self, slot: usize, m: &Matrix) -> Var {
         debug_assert!(m.is_finite(), "non-finite parameter entered the tape");
         self.num_params = self.num_params.max(slot + 1);
-        self.push(m, Op::Leaf { param: Some(slot) })
+        let v = copy_matrix(&mut self.f32_pool, m);
+        self.push(v, Op::Leaf { param: Some(slot) })
+    }
+
+    /// An empty matrix whose storage comes from the tape's pool, for
+    /// computations that run outside the recorded graph (the GNN's
+    /// tape-free inference forward). Pair with [`Tape::recycle`] so the
+    /// buffer returns to the pool.
+    pub fn scratch(&mut self) -> Matrix {
+        Matrix {
+            rows: 0,
+            cols: 0,
+            data: take_f32(&mut self.f32_pool, 0),
+        }
+    }
+
+    /// Returns a matrix's storage to the tape's pool.
+    pub fn recycle(&mut self, m: Matrix) {
+        self.f32_pool.push(m.data);
     }
 
     /// `a · b`.
@@ -222,21 +242,8 @@ impl Tape {
     ///
     /// Panics if `bias` is not `1 × a.cols`.
     pub fn add_row(&mut self, a: Var, bias: Var) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let av = &self.nodes[a.0].value;
-        let b = &self.nodes[bias.0].value;
-        assert_eq!(b.rows, 1, "bias must be a row vector");
-        assert_eq!(b.cols, av.cols, "bias width mismatch");
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
-        for r in 0..v.rows {
-            for (x, &bv) in v.row_mut(r).iter_mut().zip(&b.data) {
-                *x += bv;
-            }
-        }
+        let mut v = copy_matrix(&mut self.f32_pool, &self.nodes[a.0].value);
+        v.add_row_assign(&self.nodes[bias.0].value);
         self.push(v, Op::AddRow(a, bias))
     }
 
@@ -284,25 +291,11 @@ impl Tape {
     ///
     /// Panics on inner-dimension mismatch or if `bias` is not `1 × w.cols`.
     pub fn linear_bias_relu(&mut self, a: Var, w: Var, bias: Var) -> Var {
-        let (rows, cols) = (self.nodes[a.0].value.rows, self.nodes[w.0].value.cols);
-        let b = &self.nodes[bias.0].value;
-        assert_eq!(b.rows, 1, "bias must be a row vector");
-        assert_eq!(b.cols, cols, "bias width mismatch");
-        let mut out = Matrix {
-            rows: 0,
-            cols: 0,
-            data: take_f32(&mut self.f32_pool, rows * cols),
-        };
+        let mut out = self.scratch();
         self.nodes[a.0]
             .value
             .matmul_into(&self.nodes[w.0].value, &mut out);
-        let bdata = &self.nodes[bias.0].value.data;
-        for r in 0..rows {
-            for (x, &bv) in out.row_mut(r).iter_mut().zip(bdata) {
-                let z = *x + bv;
-                *x = if z > 0.0 { z } else { 0.0 };
-            }
-        }
+        out.add_row_relu_assign(&self.nodes[bias.0].value);
         self.push(out, Op::LinearBiasRelu(a, w, bias))
     }
 
@@ -313,22 +306,8 @@ impl Tape {
     ///
     /// Panics if `bias` is not `1 × a.cols`.
     pub fn add_row_relu(&mut self, a: Var, bias: Var) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let av = &self.nodes[a.0].value;
-        let b = &self.nodes[bias.0].value;
-        assert_eq!(b.rows, 1, "bias must be a row vector");
-        assert_eq!(b.cols, av.cols, "bias width mismatch");
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
-        for r in 0..v.rows {
-            for (x, &bv) in v.row_mut(r).iter_mut().zip(&b.data) {
-                let z = *x + bv;
-                *x = if z > 0.0 { z } else { 0.0 };
-            }
-        }
+        let mut v = copy_matrix(&mut self.f32_pool, &self.nodes[a.0].value);
+        v.add_row_relu_assign(&self.nodes[bias.0].value);
         self.push(v, Op::AddRowRelu(a, bias))
     }
 
@@ -427,17 +406,9 @@ impl Tape {
 
     /// Scatter-add rows: `out[idx[i]] += a[i]`, `out` has `rows` rows.
     pub fn scatter_add(&mut self, a: Var, idx: &[u32], rows: usize) -> Var {
-        let cols = self.nodes[a.0].value.cols;
-        let data = take_f32(&mut self.f32_pool, rows * cols);
+        let mut v = self.scratch();
         let owned_idx = copy_u32(&mut self.u32_pool, idx);
-        let m = &self.nodes[a.0].value;
-        let mut v = Matrix { rows, cols, data };
-        for (i, &j) in idx.iter().enumerate() {
-            let dst = v.row_mut(j as usize);
-            for (o, &x) in dst.iter_mut().zip(m.row(i)) {
-                *o += x;
-            }
-        }
+        self.nodes[a.0].value.scatter_add_into(idx, rows, &mut v);
         self.push(v, Op::ScatterAdd(a, owned_idx))
     }
 
@@ -446,23 +417,12 @@ impl Tape {
     /// no gradient. Ties route the gradient to the first contributing row
     /// (strict `>` comparison), so results are order-deterministic.
     pub fn scatter_max(&mut self, a: Var, idx: &[u32], rows: usize) -> Var {
-        let cols = self.nodes[a.0].value.cols;
-        let data = take_f32(&mut self.f32_pool, rows * cols);
+        let mut v = self.scratch();
         let owned_idx = copy_u32(&mut self.u32_pool, idx);
-        let mut argmax = take_u32(&mut self.u32_pool, rows * cols, u32::MAX);
-        let m = &self.nodes[a.0].value;
-        let mut v = Matrix { rows, cols, data };
-        for (i, &j) in idx.iter().enumerate() {
-            let src = m.row(i);
-            let dst = v.row_mut(j as usize);
-            for c in 0..cols {
-                let slot = j as usize * cols + c;
-                if argmax[slot] == u32::MAX || src[c] > dst[c] {
-                    dst[c] = src[c];
-                    argmax[slot] = i as u32;
-                }
-            }
-        }
+        let mut argmax = self.u32_pool.pop().unwrap_or_default();
+        self.nodes[a.0]
+            .value
+            .scatter_max_into(idx, rows, &mut v, &mut argmax);
         self.push(v, Op::ScatterMax(a, owned_idx, argmax))
     }
 
@@ -475,31 +435,13 @@ impl Tape {
     ///
     /// Panics if `a` is not a column or `seg.len() != a.rows`.
     pub fn segment_softmax(&mut self, a: Var, seg: &[u32], segments: usize) -> Var {
-        let m = &self.nodes[a.0].value;
-        assert_eq!(m.cols, 1, "segment_softmax input must be a column");
-        assert_eq!(seg.len(), m.rows, "segment index count mismatch");
         let owned_seg = copy_u32(&mut self.u32_pool, seg);
-        let mut data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let mut maxes = take_f32(&mut self.f32_pool, segments);
-        maxes.iter_mut().for_each(|x| *x = f32::NEG_INFINITY);
-        let mut sums = take_f32(&mut self.f32_pool, segments);
-        for (i, &s) in seg.iter().enumerate() {
-            let s = s as usize;
-            if data[i] > maxes[s] {
-                maxes[s] = data[i];
-            }
-        }
-        for (i, &s) in seg.iter().enumerate() {
-            data[i] = (data[i] - maxes[s as usize]).exp();
-            sums[s as usize] += data[i];
-        }
-        for (i, &s) in seg.iter().enumerate() {
-            data[i] /= sums[s as usize];
-        }
+        let mut v = copy_matrix(&mut self.f32_pool, &self.nodes[a.0].value);
+        let mut maxes = take_f32(&mut self.f32_pool, 0);
+        let mut sums = take_f32(&mut self.f32_pool, 0);
+        v.segment_softmax_assign(seg, segments, &mut maxes, &mut sums);
         self.f32_pool.push(maxes);
         self.f32_pool.push(sums);
-        let rows = data.len();
-        let v = Matrix { rows, cols: 1, data };
         self.push(v, Op::SegmentSoftmax(a, owned_seg))
     }
 
@@ -510,20 +452,11 @@ impl Tape {
     ///
     /// Panics if `w` is not `a.rows × 1`.
     pub fn mul_col(&mut self, a: Var, w: Var) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
-        let (av, wv) = (&self.nodes[a.0].value, &self.nodes[w.0].value);
+        let mut v = copy_matrix(&mut self.f32_pool, &self.nodes[a.0].value);
+        let wv = &self.nodes[w.0].value;
         assert_eq!(wv.cols, 1, "mul_col weights must be a column");
-        assert_eq!(wv.rows, av.rows, "mul_col weight count mismatch");
-        let mut v = Matrix {
-            rows: av.rows,
-            cols: av.cols,
-            data,
-        };
-        for (r, &k) in wv.data.iter().enumerate() {
-            for x in v.row_mut(r) {
-                *x *= k;
-            }
-        }
+        assert_eq!(wv.rows, v.rows, "mul_col weight count mismatch");
+        v.scale_rows_assign(&wv.data);
         self.push(v, Op::MulCol(a, w))
     }
 
@@ -533,20 +466,10 @@ impl Tape {
     ///
     /// Panics if `weights.len() != a.rows`.
     pub fn scale_rows(&mut self, a: Var, weights: &[f32]) -> Var {
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
+        let mut v = copy_matrix(&mut self.f32_pool, &self.nodes[a.0].value);
+        assert_eq!(weights.len(), v.rows, "scale_rows weight count mismatch");
         let owned_w = copy_f32(&mut self.f32_pool, weights);
-        let m = &self.nodes[a.0].value;
-        assert_eq!(weights.len(), m.rows, "scale_rows weight count mismatch");
-        let mut v = Matrix {
-            rows: m.rows,
-            cols: m.cols,
-            data,
-        };
-        for (r, &w) in weights.iter().enumerate() {
-            for x in v.row_mut(r) {
-                *x *= w;
-            }
-        }
+        v.scale_rows_assign(weights);
         self.push(v, Op::ScaleRows(a, owned_w))
     }
 
@@ -632,7 +555,11 @@ impl Tape {
             "non-finite loss at the tape boundary"
         );
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Matrix::scalar(1.0));
+        grads[loss.0] = Some(Matrix {
+            rows: 1,
+            cols: 1,
+            data: copy_f32(&mut self.f32_pool, &[1.0]),
+        });
         let mut out: Vec<Option<Matrix>> = vec![None; self.num_params];
 
         for i in (0..=loss.0).rev() {
@@ -1031,7 +958,7 @@ mod tests {
         F: Fn(&mut Tape, Var) -> Var,
     {
         let mut tape = Tape::new();
-        let p = tape.param(0, param.clone());
+        let p = tape.param(0, &param);
         let loss = f(&mut tape, p);
         let grads = tape.backward(loss);
         let analytic = grads[0].as_ref().expect("param grad");
@@ -1041,14 +968,14 @@ mod tests {
             let mut plus = param.clone();
             plus.data[k] += eps;
             let mut tp = Tape::new();
-            let vp = tp.param(0, plus);
+            let vp = tp.param(0, &plus);
             let lp = f(&mut tp, vp);
             let fp = tp.value(lp).data[0];
 
             let mut minus = param.clone();
             minus.data[k] -= eps;
             let mut tm = Tape::new();
-            let vm = tm.param(0, minus);
+            let vm = tm.param(0, &minus);
             let lm = f(&mut tm, vm);
             let fm = tm.value(lm).data[0];
 
@@ -1065,9 +992,13 @@ mod tests {
     fn grad_matmul_mse() {
         let w = Matrix::from_vec(2, 2, vec![0.3, -0.2, 0.5, 0.7]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7]));
+            let x = t.leaf(&Matrix::from_vec(
+                3,
+                2,
+                vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7],
+            ));
             let h = t.matmul(x, p);
-            let w2 = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let w2 = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(h, w2);
             t.mse_loss(y, &[0.5, -0.2, 0.1])
         });
@@ -1077,7 +1008,7 @@ mod tests {
     fn grad_relu_chain() {
         let w = Matrix::from_vec(2, 1, vec![0.8, -0.6]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
+            let x = t.leaf(&Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
             let h = t.matmul(x, p);
             let r = t.relu(h);
             t.mse_loss(r, &[1.0, 0.0])
@@ -1088,10 +1019,14 @@ mod tests {
     fn grad_linear_bias_relu_weight() {
         let w = Matrix::from_vec(2, 3, vec![0.3, -0.2, 0.5, 0.7, -0.4, 0.1]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7]));
-            let b = t.leaf(Matrix::from_vec(1, 3, vec![0.05, -0.1, 0.2]));
+            let x = t.leaf(&Matrix::from_vec(
+                3,
+                2,
+                vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7],
+            ));
+            let b = t.leaf(&Matrix::from_vec(1, 3, vec![0.05, -0.1, 0.2]));
             let h = t.linear_bias_relu(x, p, b);
-            let v = t.leaf(Matrix::from_vec(3, 1, vec![1.0, -0.5, 0.25]));
+            let v = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, -0.5, 0.25]));
             let y = t.matmul(h, v);
             t.mse_loss(y, &[0.5, -0.2, 0.1])
         });
@@ -1101,10 +1036,10 @@ mod tests {
     fn grad_linear_bias_relu_bias() {
         let b = Matrix::from_vec(1, 2, vec![0.15, -0.35]);
         grad_check(b, |t, p| {
-            let x = t.leaf(Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
-            let w = t.leaf(Matrix::from_vec(2, 2, vec![0.6, -0.3, 0.2, 0.9]));
+            let x = t.leaf(&Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
+            let w = t.leaf(&Matrix::from_vec(2, 2, vec![0.6, -0.3, 0.2, 0.9]));
             let h = t.linear_bias_relu(x, w, p);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(h, v);
             t.mse_loss(y, &[0.3, -0.6])
         });
@@ -1114,14 +1049,14 @@ mod tests {
     fn grad_add_row_relu() {
         let w = Matrix::from_vec(1, 3, vec![0.1, -0.2, 0.3]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(
+            let x = t.leaf(&Matrix::from_vec(
                 2,
                 3,
                 vec![0.4, -0.6, 1.0, -0.2, 0.8, -1.1],
             ));
             let h = t.add_row_relu(x, p);
             let s = t.sum_rows(h);
-            let v = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]));
+            let v = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[1.0])
         });
@@ -1136,24 +1071,20 @@ mod tests {
         let v = Matrix::from_vec(2, 1, vec![1.0, -0.75]);
 
         let mut fused = Tape::new();
-        let (xf, wf, bf) = (
-            fused.leaf(x.clone()),
-            fused.param(0, w.clone()),
-            fused.param(1, b.clone()),
-        );
+        let (xf, wf, bf) = (fused.leaf(&x), fused.param(0, &w), fused.param(1, &b));
         let hf = fused.linear_bias_relu(xf, wf, bf);
-        let vf = fused.leaf(v.clone());
+        let vf = fused.leaf(&v);
         let yf = fused.matmul(hf, vf);
         let lf = fused.mse_loss(yf, &[1.0, 0.0, -0.5]);
         let fused_val = fused.value(hf).clone();
         let fused_grads = fused.backward(lf);
 
         let mut plain = Tape::new();
-        let (xp, wp, bp) = (plain.leaf(x), plain.param(0, w), plain.param(1, b));
+        let (xp, wp, bp) = (plain.leaf(&x), plain.param(0, &w), plain.param(1, &b));
         let mm = plain.matmul(xp, wp);
         let ar = plain.add_row(mm, bp);
         let hp = plain.relu(ar);
-        let vp = plain.leaf(v);
+        let vp = plain.leaf(&v);
         let yp = plain.matmul(hp, vp);
         let lp = plain.mse_loss(yp, &[1.0, 0.0, -0.5]);
         assert_eq!(fused_val, *plain.value(hp));
@@ -1169,9 +1100,9 @@ mod tests {
         let mut reference: Option<Vec<f32>> = None;
         for _ in 0..3 {
             t.reset();
-            let x = t.leaf(Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
-            let w = t.param(0, Matrix::from_vec(2, 1, vec![0.8, -0.6]));
-            let b = t.param(1, Matrix::from_vec(1, 1, vec![0.1]));
+            let x = t.leaf(&Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]));
+            let w = t.param(0, &Matrix::from_vec(2, 1, vec![0.8, -0.6]));
+            let b = t.param(1, &Matrix::from_vec(1, 1, vec![0.1]));
             let h = t.linear_bias_relu(x, w, b);
             let loss = t.mse_loss(h, &[1.0, 0.0]);
             let grads = t.backward(loss);
@@ -1181,9 +1112,40 @@ mod tests {
                 Some(r) => assert_eq!(r, &gw, "tape reuse changed gradients"),
             }
         }
-        assert!(t.len() > 0);
+        assert!(!t.is_empty());
         t.reset();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn pool_size_is_constant_in_steady_state() {
+        // Leaves, parameters and the backward seed are copied into pooled
+        // buffers, so `reset` files back exactly what a step took and the
+        // pool stops growing once it has warmed up.
+        let x = Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 1.5]);
+        let y = Matrix::from_vec(2, 2, vec![0.25, 0.5, -0.75, 1.0]);
+        let w = Matrix::from_vec(2, 1, vec![0.8, -0.6]);
+        let mut t = Tape::new();
+        for with_backward in [false, true] {
+            let mut sizes = Vec::new();
+            for _ in 0..100 {
+                t.reset();
+                let (xv, yv) = (t.leaf(&x), t.leaf(&y));
+                let s = t.add(xv, yv);
+                if with_backward {
+                    let wv = t.param(0, &w);
+                    let h = t.matmul(s, wv);
+                    let loss = t.mse_loss(h, &[1.0, 0.0]);
+                    let _ = t.backward(loss);
+                }
+                t.reset();
+                sizes.push(t.f32_pool.len());
+            }
+            assert!(
+                sizes[1..].iter().all(|&n| n == sizes[1]),
+                "pool grew (backward: {with_backward}): {sizes:?}"
+            );
+        }
     }
 
     #[test]
@@ -1192,7 +1154,7 @@ mod tests {
         grad_check(w, |t, p| {
             let g = t.gather(p, &[0, 2, 2, 1]);
             let s = t.scatter_add(g, &[1, 0, 1, 1], 2);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.2, -0.1])
         });
@@ -1204,7 +1166,7 @@ mod tests {
         grad_check(w, |t, p| {
             let s = t.sum_rows(p); // [1,2]
             let c = t.concat_cols(s, s); // [1,4]
-            let v = t.leaf(Matrix::from_vec(4, 1, vec![1.0, 0.5, -0.5, 2.0]));
+            let v = t.leaf(&Matrix::from_vec(4, 1, vec![1.0, 0.5, -0.5, 2.0]));
             let y = t.matmul(c, v);
             t.mse_loss(y, &[0.3])
         });
@@ -1214,11 +1176,11 @@ mod tests {
     fn grad_scale_rows_bias() {
         let w = Matrix::from_vec(1, 3, vec![0.1, -0.2, 0.3]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(2, 3, vec![1.0; 6]));
+            let x = t.leaf(&Matrix::from_vec(2, 3, vec![1.0; 6]));
             let h = t.add_row(x, p);
             let sc = t.scale_rows(h, &[0.5, 2.0]);
             let s = t.sum_rows(sc);
-            let v = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]));
+            let v = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[1.0])
         });
@@ -1228,7 +1190,7 @@ mod tests {
     fn grad_mape() {
         let w = Matrix::from_vec(1, 1, vec![0.9]);
         grad_check(w, |t, p| {
-            let x = t.leaf(Matrix::from_vec(2, 1, vec![1.0, 2.0]));
+            let x = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, 2.0]));
             let y = t.matmul(x, p);
             t.mape_loss(y, &[1.2, 1.5])
         });
@@ -1242,7 +1204,7 @@ mod tests {
             let b = t.relu(p);
             let s = t.add_n(vec![a, b, p]);
             let sr = t.sum_rows(s);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -2.0]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -2.0]));
             let y = t.matmul(sr, v);
             t.mse_loss(y, &[0.1])
         });
@@ -1255,7 +1217,7 @@ mod tests {
         let w = Matrix::from_vec(4, 2, vec![0.9, 0.1, 0.2, 0.8, 0.5, -0.4, -0.3, 0.6]);
         grad_check(w, |t, p| {
             let s = t.scatter_max(p, &[0, 1, 0, 1], 2);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.2, -0.1])
         });
@@ -1264,7 +1226,7 @@ mod tests {
     #[test]
     fn scatter_max_routes_ties_to_first_row_and_zeroes_empty_segments() {
         let mut t = Tape::new();
-        let x = t.param(0, Matrix::from_vec(3, 1, vec![2.0, 2.0, 1.0]));
+        let x = t.param(0, &Matrix::from_vec(3, 1, vec![2.0, 2.0, 1.0]));
         // Rows 0 and 1 tie in segment 0; segment 1 is empty.
         let s = t.scatter_max(x, &[0, 0, 0], 2);
         assert_eq!(t.value(s).data, vec![2.0, 0.0]);
@@ -1281,10 +1243,14 @@ mod tests {
         let w = Matrix::from_vec(5, 1, vec![0.4, -0.6, 1.1, 0.2, -0.9]);
         grad_check(w, |t, p| {
             let a = t.segment_softmax(p, &[0, 1, 0, 1, 1], 2);
-            let v = t.leaf(Matrix::from_vec(5, 2, vec![1.0, 0.3, -0.5, 0.8, 0.2, -0.7, 0.6, 0.1, -0.2, 0.9]));
+            let v = t.leaf(&Matrix::from_vec(
+                5,
+                2,
+                vec![1.0, 0.3, -0.5, 0.8, 0.2, -0.7, 0.6, 0.1, -0.2, 0.9],
+            ));
             let wsum = t.mul_col(v, a);
             let s = t.sum_rows(wsum);
-            let u = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let u = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(s, u);
             t.mse_loss(y, &[0.25])
         });
@@ -1293,7 +1259,7 @@ mod tests {
     #[test]
     fn segment_softmax_sums_to_one_per_segment() {
         let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(4, 1, vec![10.0, -3.0, 10.5, 0.0]));
+        let x = t.leaf(&Matrix::from_vec(4, 1, vec![10.0, -3.0, 10.5, 0.0]));
         let y = t.segment_softmax(x, &[1, 0, 1, 0], 2);
         let d = &t.value(y).data;
         assert!((d[1] + d[3] - 1.0).abs() < 1e-6, "segment 0 sums to 1");
@@ -1305,10 +1271,14 @@ mod tests {
     fn grad_mul_col_weights() {
         let w = Matrix::from_vec(3, 1, vec![0.7, -0.2, 1.3]);
         grad_check(w, |t, p| {
-            let a = t.leaf(Matrix::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7]));
+            let a = t.leaf(&Matrix::from_vec(
+                3,
+                2,
+                vec![1.0, 2.0, -1.0, 0.5, 0.3, -0.7],
+            ));
             let m = t.mul_col(a, p);
             let s = t.sum_rows(m);
-            let v = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -0.5]));
+            let v = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -0.5]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.4])
         });
@@ -1318,10 +1288,10 @@ mod tests {
     fn grad_mul_col_matrix() {
         let w = Matrix::from_vec(2, 3, vec![0.3, -0.2, 0.5, 0.7, -0.4, 0.1]);
         grad_check(w, |t, p| {
-            let k = t.leaf(Matrix::from_vec(2, 1, vec![0.6, -1.2]));
+            let k = t.leaf(&Matrix::from_vec(2, 1, vec![0.6, -1.2]));
             let m = t.mul_col(p, k);
             let s = t.sum_rows(m);
-            let v = t.leaf(Matrix::from_vec(3, 1, vec![1.0, 0.5, -0.5]));
+            let v = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, 0.5, -0.5]));
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.1])
         });
@@ -1331,7 +1301,7 @@ mod tests {
     fn dropout_eval_is_identity() {
         let mut rng = Rng64::new(0);
         let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
+        let x = t.leaf(&Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
         let d = t.dropout(x, 0.5, false, &mut rng);
         assert_eq!(t.value(d).data, vec![1.0, 2.0, 3.0, 4.0]);
     }
@@ -1340,7 +1310,7 @@ mod tests {
     fn dropout_train_masks_and_scales() {
         let mut rng = Rng64::new(7);
         let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(1, 1000, vec![1.0; 1000]));
+        let x = t.leaf(&Matrix::from_vec(1, 1000, vec![1.0; 1000]));
         let d = t.dropout(x, 0.4, true, &mut rng);
         let kept = t.value(d).data.iter().filter(|&&v| v > 0.0).count();
         assert!((450..750).contains(&kept), "kept {kept}");
@@ -1352,8 +1322,8 @@ mod tests {
     #[test]
     fn unused_params_get_none() {
         let mut t = Tape::new();
-        let p0 = t.param(0, Matrix::scalar(1.0));
-        let _p1 = t.param(1, Matrix::scalar(2.0));
+        let p0 = t.param(0, &Matrix::scalar(1.0));
+        let _p1 = t.param(1, &Matrix::scalar(2.0));
         let loss = t.mse_loss(p0, &[0.0]);
         let grads = t.backward(loss);
         assert!(grads[0].is_some());
@@ -1363,7 +1333,7 @@ mod tests {
     #[test]
     fn shared_param_accumulates() {
         let mut t = Tape::new();
-        let p = t.param(0, Matrix::scalar(3.0));
+        let p = t.param(0, &Matrix::scalar(3.0));
         let s = t.add(p, p); // y = 2p, dy/dp = 2
         let loss = t.mse_loss(s, &[0.0]); // L = (2p)^2, dL/dp = 8p = 24
         let g = t.backward(loss);

@@ -4,7 +4,10 @@ use proptest::prelude::*;
 
 use powergear_repro::activity::{activation_rate, execute, switching_activity, Stimuli};
 use powergear_repro::dse::{adrs, dominates, pareto_frontier, run_dse, DseConfig, Point};
-use powergear_repro::graphcon::GraphFlow;
+use powergear_repro::gnn::{
+    table2_variants, zoo_variants, Arch, GraphBatch, ModelConfig, Pool, PowerModel,
+};
+use powergear_repro::graphcon::{GraphFlow, PowerGraph, Relation};
 use powergear_repro::hls::{Directives, FuLibrary, HlsFlow};
 use powergear_repro::ir::expr::{aff, Expr};
 use powergear_repro::ir::{ArrayKind, Kernel, KernelBuilder, Opcode};
@@ -176,23 +179,23 @@ proptest! {
         let x = Matrix::from_vec(2, 3, x_vals.clone());
         let f = |wm: Matrix| -> f32 {
             let mut t = Tape::new();
-            let xv = t.leaf(x.clone());
-            let wv = t.param(0, wm);
+            let xv = t.leaf(&x);
+            let wv = t.param(0, &wm);
             let h = t.matmul(xv, wv);
             let r = t.relu(h);
             let s = t.sum_rows(r);
-            let ones = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+            let ones = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
             let y = t.matmul(s, ones);
             let loss = t.mse_loss(y, &[0.3]);
             t.value(loss).data[0]
         };
         let mut t = Tape::new();
-        let xv = t.leaf(x.clone());
-        let wv = t.param(0, w.clone());
+        let xv = t.leaf(&x);
+        let wv = t.param(0, &w);
         let h = t.matmul(xv, wv);
         let r = t.relu(h);
         let s = t.sum_rows(r);
-        let ones = t.leaf(Matrix::from_vec(2, 1, vec![1.0, -1.0]));
+        let ones = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -1.0]));
         let y = t.matmul(s, ones);
         let loss = t.mse_loss(y, &[0.3]);
         let grads = t.backward(loss);
@@ -215,18 +218,45 @@ proptest! {
     /// shapes, including degenerate ones (0 rows, 1×N, N×1) and shapes
     /// straddling the 4×8 register-tile boundary. `matmul` and `matmul_tn`
     /// promise k-ascending summation, so they must match the reference
-    /// *bitwise*; `matmul_nt` folds lanes and is compared within a
-    /// tolerance.
+    /// *bitwise* — for sparse and signed-zero left operands and for right
+    /// operands holding NaN/Inf too; `matmul_nt` folds lanes and is
+    /// compared within a tolerance on finite operands.
     #[test]
     fn tiled_matmul_matches_scalar_reference(
         m in prop::sample::select(vec![0usize, 1, 3, 4, 5, 8, 13]),
         k in prop::sample::select(vec![1usize, 2, 7, 8, 9, 16]),
         n in prop::sample::select(vec![1usize, 3, 7, 8, 9, 17]),
+        left in 0usize..5,
+        poison_right in any::<bool>(),
         seed in 0u64..1000
     ) {
         let mut rng = powergear_repro::util::Rng64::new(seed);
-        let a = Matrix::from_vec(m, k, (0..m * k).map(|_| rng.f32() * 2.0 - 1.0).collect());
-        let b = Matrix::from_vec(k, n, (0..k * n).map(|_| rng.f32() * 2.0 - 1.0).collect());
+        // Left operands: dense, post-ReLU (half +0.0), signed zeros, one-hot
+        // rows, and tiny values whose products underflow to ±0.0 against the
+        // scaled right operand below.
+        let a = Matrix::from_vec(m, k, (0..m * k).map(|idx| {
+            let v = rng.f32() * 2.0 - 1.0;
+            match left {
+                0 => v,
+                1 => if v > 0.0 { v } else { 0.0 },
+                2 => if v < -0.3 { -0.0 } else if v < 0.3 { 0.0 } else { v },
+                3 => if idx % k == (seed as usize) % k { 1.0 } else { 0.0 },
+                _ => if v.abs() < 0.5 { v.signum() * 1e-30 } else { v },
+            }
+        }).collect());
+        let scale = if left == 4 { 1e-20 } else { 1.0 };
+        let mut b = Matrix::from_vec(k, n, (0..k * n).map(|_| (rng.f32() * 2.0 - 1.0) * scale).collect());
+        if poison_right {
+            // NaN and ±Inf must reach every output they touch, zero left
+            // entries included (0 · NaN = 0 · ∞ = NaN).
+            for (idx, v) in b.data.iter_mut().enumerate() {
+                match rng.below(8) {
+                    0 => *v = f32::NAN,
+                    1 => *v = if idx % 2 == 0 { f32::INFINITY } else { f32::NEG_INFINITY },
+                    _ => {}
+                }
+            }
+        }
 
         // Scalar reference with k-ascending accumulation per element.
         let mut want = Matrix::zeros(m, n);
@@ -239,27 +269,28 @@ proptest! {
                 want.data[i * n + j] = acc;
             }
         }
+        // Bitwise, except that every NaN compares equal (the payload of a
+        // NaN combined with another NaN depends on operand order, which
+        // IEEE leaves to the implementation).
+        let bits = |m: &Matrix| {
+            m.data.iter().map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() }).collect::<Vec<_>>()
+        };
 
         let got = a.matmul(&b);
-        prop_assert_eq!(
-            got.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "matmul must be bitwise k-ascending"
-        );
+        prop_assert_eq!(bits(&got), bits(&want), "matmul must be bitwise k-ascending");
 
         // a = at^T keeps the same product; matmul_tn shares the contract.
         let at = a.transpose();
         let got_tn = at.matmul_tn(&b);
-        prop_assert_eq!(
-            got_tn.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        prop_assert_eq!(bits(&got_tn), bits(&want), "matmul_tn must be bitwise k-ascending");
 
         // b = bt^T; matmul_nt uses a lane-folded dot, so allow rounding.
-        let bt = b.transpose();
-        let got_nt = a.matmul_nt(&bt);
-        for (g, w) in got_nt.data.iter().zip(&want.data) {
-            prop_assert!((g - w).abs() <= 1e-4 * (1.0 + w.abs()), "{} vs {}", g, w);
+        if !poison_right {
+            let bt = b.transpose();
+            let got_nt = a.matmul_nt(&bt);
+            for (g, w) in got_nt.data.iter().zip(&want.data) {
+                prop_assert!((g - w).abs() <= 1e-4 * (1.0 + w.abs()), "{} vs {}", g, w);
+            }
         }
     }
 
@@ -322,5 +353,112 @@ proptest! {
             "sharded mean must equal the per-sample batch mean exactly (shards {:?})",
             sizes
         );
+    }
+}
+
+/// A random graph for the forward-equivalence property: one-hot plus
+/// continuous node features, random edges of every relation (possibly
+/// none), and a 10-wide metadata vector.
+fn random_graph(rng: &mut powergear_repro::util::Rng64, id: usize) -> PowerGraph {
+    let nodes = 1 + rng.below(9);
+    let f = PowerGraph::NODE_FEATS;
+    let mut node_feats = vec![0.0f32; nodes * f];
+    for n in 0..nodes {
+        node_feats[n * f + rng.below(5)] = 1.0;
+        node_feats[n * f + 28 + rng.below(6)] = rng.f32() * 2.0 - 0.5;
+    }
+    let ne = rng.below(3 * nodes);
+    let edges: Vec<(u32, u32)> = (0..ne)
+        .map(|_| (rng.below(nodes) as u32, rng.below(nodes) as u32))
+        .collect();
+    let rels = [Relation::AA, Relation::AN, Relation::NA, Relation::NN];
+    PowerGraph {
+        kernel: "prop".into(),
+        design_id: format!("p{id}"),
+        num_nodes: nodes,
+        node_feats,
+        edges,
+        edge_feats: (0..ne)
+            .map(|_| [rng.f32(), rng.f32(), rng.f32() * 0.5, rng.f32() * 0.5])
+            .collect(),
+        edge_rel: (0..ne).map(|_| rels[rng.below(4)]).collect(),
+        meta: (0..10).map(|_| rng.f32() * 2.0 - 1.0).collect(),
+    }
+}
+
+/// Every configuration the zoo and the Table II ablations build, plus the
+/// remaining architectures and attention/readout combinations with each
+/// ablation switch.
+fn forward_configs() -> Vec<ModelConfig> {
+    let mut out: Vec<ModelConfig> = zoo_variants(8)
+        .into_iter()
+        .chain(table2_variants(8))
+        .map(|v| v.config)
+        .collect();
+    for arch in [Arch::Gcn, Arch::Sage, Arch::GraphConv, Arch::Gine] {
+        for pool in Pool::ALL {
+            out.push(ModelConfig::baseline(arch, 8).with_pool(pool));
+        }
+    }
+    for heads in [1, 4] {
+        let attn = ModelConfig::hec(8).with_heads(heads).with_pool(Pool::Max);
+        for switch in 0..4 {
+            let mut cfg = attn.clone().with_layers(1 + switch % 3);
+            match switch {
+                0 => cfg.use_edge_feats = false,
+                1 => cfg.directed = false,
+                2 => cfg.heterogeneous = false,
+                _ => cfg.use_metadata = false,
+            }
+            out.push(cfg);
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The tape-free inference forward equals the tape forward in eval mode
+    /// bit for bit, for every configuration the zoo builds, on batches of
+    /// one or more graphs; and a NaN parameter propagates to every
+    /// prediction instead of being masked.
+    #[test]
+    fn tape_free_forward_matches_tape_bitwise(
+        graphs in 1usize..5,
+        seed in 0u64..10_000
+    ) {
+        let mut rng = powergear_repro::util::Rng64::new(seed);
+        let gs: Vec<PowerGraph> = (0..graphs).map(|i| random_graph(&mut rng, i)).collect();
+        let refs: Vec<&PowerGraph> = gs.iter().collect();
+        let batch = GraphBatch::new(&refs, &vec![1.0; graphs]);
+        // One pool tape across every model, as a serving worker keeps it.
+        let mut pool = Tape::new();
+        for cfg in forward_configs() {
+            let name = cfg.zoo_name();
+            let mut model = PowerModel::new(cfg, seed);
+            // Nonzero biases move ReLU thresholds off the Glorot defaults.
+            for slot in 0..model.store.len() {
+                for v in &mut model.store.get_mut(slot).data {
+                    *v += (rng.f32() - 0.5) * 0.2;
+                }
+            }
+            let mut tape = Tape::new();
+            let out = model.forward(&mut tape, &batch, false, &mut powergear_repro::util::Rng64::new(0));
+            let want: Vec<u32> = tape.value(out).data.iter().map(|v| v.to_bits()).collect();
+            let got_m = model.forward_eval(&batch, &mut pool);
+            let got: Vec<u32> = got_m.data.iter().map(|v| v.to_bits()).collect();
+            pool.recycle(got_m);
+            prop_assert_eq!((got.len(), &got), (graphs, &want), "{}", name);
+
+            let w2 = (0..model.store.len())
+                .find(|&s| model.store.name(s) == "head_w2")
+                .expect("head_w2 registered");
+            let k = rng.below(model.store.get(w2).len());
+            model.store.get_mut(w2).data[k] = f32::NAN;
+            let poisoned = model.forward_eval(&batch, &mut pool);
+            prop_assert!(poisoned.data.iter().all(|v| v.is_nan()), "{}: NaN was masked", name);
+            pool.recycle(poisoned);
+        }
     }
 }

@@ -422,6 +422,93 @@ fn hot_swap_mid_stream_drops_nothing_and_never_mixes_models() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Well-framed Predict requests the model cannot run — a graph with no
+/// nodes, or metadata narrower or wider than the model's `meta_dim` — get a
+/// typed BAD_REQUEST before they join a shared micro-batch. The daemon
+/// keeps serving: good requests sent alongside them, on the same
+/// connection and on fresh ones, are answered bit-identically to the
+/// in-process path.
+#[test]
+fn malformed_graphs_get_bad_request_and_serving_continues() {
+    let dir = tmp_dir("malformed");
+    let gear = tiny_gear(41);
+    publish(&dir, "m", "proto", &gear, 1);
+    let handle = daemon_on(&dir);
+    let addr = handle.addr();
+
+    let good = graph(3);
+    let (et, ed) = gear.estimate_graphs(&[&good])[0];
+    let mut empty = graph(1);
+    empty.num_nodes = 0;
+    empty.node_feats.clear();
+    empty.edges.clear();
+    empty.edge_feats.clear();
+    empty.edge_rel.clear();
+    let mut narrow = graph(2);
+    narrow.meta.truncate(4);
+    let mut wide = graph(2);
+    wide.meta.push(1.0);
+    let bad_requests = vec![
+        vec![empty],
+        vec![narrow.clone()],
+        vec![wide],
+        vec![good.clone(), narrow],
+    ];
+    let predict = |graphs: Vec<PowerGraph>| {
+        let req = PredictRequest {
+            kernel: "proto".into(),
+            graphs,
+        };
+        RawFrame::new(FrameType::Predict, req.to_payload())
+    };
+    let check_good = |s: &mut TcpStream| {
+        let resp = rpc(s, &predict(vec![good.clone()]));
+        assert_eq!(resp.frame_type(), Some(FrameType::PredictOk));
+        let out = PredictResponse::from_payload(&resp.payload).unwrap();
+        assert_eq!(out.predictions.len(), 1);
+        assert_eq!(out.predictions[0].0.to_bits(), et.to_bits(), "total bits");
+        assert_eq!(out.predictions[0].1.to_bits(), ed.to_bits(), "dynamic bits");
+    };
+
+    // Sequentially: each bad request, then a good one on the same
+    // connection and on a fresh one.
+    let mut s = TcpStream::connect(addr).unwrap();
+    for bad in &bad_requests {
+        let resp = rpc(&mut s, &predict(bad.clone()));
+        assert_eq!(resp.frame_type(), Some(FrameType::Error));
+        let err = frame::ErrorFrame::from_payload(&resp.payload).unwrap();
+        assert_eq!(err.code, error_code::BAD_REQUEST, "{}", err.message);
+        check_good(&mut s);
+        check_good(&mut TcpStream::connect(addr).unwrap());
+    }
+
+    // Concurrently: bad requests racing good ones into the same
+    // micro-batches never disturb the good answers.
+    let bad_sender = {
+        let bad_requests = bad_requests.clone();
+        thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            for round in 0..8 {
+                let req = PredictRequest {
+                    kernel: "proto".into(),
+                    graphs: bad_requests[round % bad_requests.len()].clone(),
+                };
+                let resp = rpc(&mut s, &RawFrame::new(FrameType::Predict, req.to_payload()));
+                assert_eq!(resp.frame_type(), Some(FrameType::Error));
+            }
+        })
+    };
+    for _ in 0..8 {
+        check_good(&mut s);
+    }
+    bad_sender.join().unwrap();
+
+    let stats = handle.stats();
+    assert_eq!(stats.errors, (bad_requests.len() + 8) as u64);
+    handle.stop().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Over a real socket, a desynced byte stream gets a typed BAD_REQUEST
 /// error frame and a clean close — the daemon never panics or hangs.
 #[test]
