@@ -33,12 +33,36 @@
 pub mod daemon;
 pub mod eval;
 
-use pg_activity::{execute, Stimuli};
+use pg_activity::{execute_in, Stimuli, TraceScratch};
 use pg_datasets::{HlsCache, KernelDataset, PowerTarget};
 use pg_gnn::{Ensemble, InferenceEngine, ModelConfig, ServeConfig, TrainConfig};
 use pg_graphcon::{GraphFlow, PowerGraph};
-use pg_hls::{Directives, HlsError, HlsReport};
+use pg_hls::{Directives, HlsDesign, HlsError, HlsReport};
 use pg_ir::Kernel;
+
+/// Seed of the stimuli every inference-time activity trace runs on.
+const STIMULI_SEED: u64 = 1;
+
+/// Trace → graph → metadata features for one synthesized design: the
+/// annotated graph the estimators consume. The trace arena goes back to
+/// `scratch` once the graph is built.
+fn annotated_graph(
+    design: &HlsDesign,
+    stimuli: &Stimuli,
+    baseline: &HlsReport,
+    scratch: &mut TraceScratch,
+) -> PowerGraph {
+    let trace = execute_in(design, stimuli, scratch);
+    let mut graph = GraphFlow::new().build(design, &trace);
+    scratch.reclaim(trace);
+    graph.meta = design
+        .report
+        .metadata_features(baseline)
+        .into_iter()
+        .map(|v| v as f32)
+        .collect();
+    graph
+}
 
 /// Top-level configuration for [`PowerGear::fit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -205,17 +229,16 @@ impl PowerGear {
         directives: &Directives,
         cache: &HlsCache,
     ) -> Result<(PowerGraph, HlsReport), HlsError> {
-        let baseline = cache.run(kernel, &Directives::new())?.report.clone();
-        let design = cache.run(kernel, directives)?;
-        let stim = Stimuli::for_kernel(kernel, 1);
-        let trace = execute(&design, &stim);
-        let mut graph = GraphFlow::new().build(&design, &trace);
-        graph.meta = design
-            .report
-            .metadata_features(&baseline)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
+        let session = cache.session(kernel)?;
+        let baseline = session.run(&Directives::new())?;
+        let design = session.run(directives)?;
+        let stimuli = Stimuli::for_kernel(kernel, STIMULI_SEED);
+        let graph = annotated_graph(
+            &design,
+            &stimuli,
+            &baseline.report,
+            &mut TraceScratch::new(),
+        );
         Ok((graph, design.report.clone()))
     }
 
@@ -263,36 +286,78 @@ impl PowerGear {
         total.into_iter().zip(dynamic).collect()
     }
 
-    /// Estimates a whole set of design points of one kernel: each
-    /// configuration is synthesized through the shared [`HlsCache`] and all
-    /// graphs are served in one batched engine pass — the DSE calling
-    /// pattern of §IV-C.
+    /// Estimates a whole set of design points of one kernel — the DSE
+    /// calling pattern of §IV-C — with the default [`ServeConfig`] (one
+    /// worker per available core). See [`PowerGear::estimate_space_with`].
     ///
     /// # Errors
     ///
-    /// Propagates the first [`HlsError`] from synthesis.
+    /// The first [`HlsError`] in config order.
     pub fn estimate_space(
         &self,
         kernel: &Kernel,
         configs: &[Directives],
         cache: &HlsCache,
     ) -> Result<Vec<PowerEstimate>, HlsError> {
-        let mut graphs = Vec::with_capacity(configs.len());
-        let mut reports = Vec::with_capacity(configs.len());
-        for d in configs {
-            let (graph, report) = Self::build_graph_cached(kernel, d, cache)?;
-            graphs.push(graph);
-            reports.push(report);
+        self.estimate_space_with(kernel, configs, cache, &ServeConfig::default())
+    }
+
+    /// [`PowerGear::estimate_space`] with explicit batching/parallelism.
+    ///
+    /// One [`pg_datasets::KernelSession`] serves the whole call, so the
+    /// kernel fingerprint and analysis, the unoptimized baseline and the
+    /// stimuli are computed once. The cold path — synthesis through the
+    /// shared `cache`, activity trace, graph construction and metadata —
+    /// then runs on `serve.threads` work-stealing workers
+    /// ([`pg_util::par`]), each recycling one trace scratch buffer across
+    /// the points it steals. All graphs are served in one batched engine
+    /// pass sharded over the same `serve.threads`.
+    ///
+    /// Every estimate is bit-identical to [`PowerGear::estimate`] on the
+    /// same point, at any thread count: synthesis, tracing and graph
+    /// construction are pure functions of the design point, results are
+    /// placed by config index rather than completion order, and the engine
+    /// is thread-invariant. Each distinct design, baseline included, is
+    /// synthesized once per cache (racing workers on a duplicated config
+    /// may both synthesize it; the first insertion wins). An empty
+    /// `configs` returns at once without synthesizing anything.
+    ///
+    /// # Errors
+    ///
+    /// The first [`HlsError`] in config order: the kernel's or the
+    /// baseline's before any point's.
+    pub fn estimate_space_with(
+        &self,
+        kernel: &Kernel,
+        configs: &[Directives],
+        cache: &HlsCache,
+        serve: &ServeConfig,
+    ) -> Result<Vec<PowerEstimate>, HlsError> {
+        if configs.is_empty() {
+            return Ok(Vec::new());
         }
-        let refs: Vec<&PowerGraph> = graphs.iter().collect();
-        let preds = self.estimate_graphs(&refs);
+        let session = cache.session(kernel)?;
+        let baseline = session.run(&Directives::new())?;
+        let stimuli = Stimuli::for_kernel(kernel, STIMULI_SEED);
+        let points = pg_util::par::try_map_ordered(
+            configs,
+            serve.threads,
+            TraceScratch::new,
+            |scratch, d| {
+                let design = session.run(d)?;
+                let graph = annotated_graph(&design, &stimuli, &baseline.report, scratch);
+                Ok::<_, HlsError>((graph, design.report.latency_cycles))
+            },
+        )?;
+        let refs: Vec<&PowerGraph> = points.iter().map(|(g, _)| g).collect();
+        let preds = self.estimate_graphs_with(&refs, serve);
         Ok(preds
             .into_iter()
-            .zip(graphs.iter().zip(&reports))
-            .map(|((total, dynamic), (graph, report))| PowerEstimate {
+            .zip(&points)
+            .map(|((total, dynamic), (graph, latency))| PowerEstimate {
                 total_w: total,
                 dynamic_w: dynamic,
-                latency_cycles: report.latency_cycles,
+                latency_cycles: *latency,
                 graph_nodes: graph.num_nodes,
             })
             .collect())
@@ -484,8 +549,52 @@ mod tests {
             assert_eq!(single.dynamic_w.to_bits(), est.dynamic_w.to_bits());
             assert_eq!(single.latency_cycles, est.latency_cycles);
         }
-        // baseline is shared across all points; repeats are served hot
-        assert!(cache.hits() >= configs.len() - 1);
+        // every distinct design, baseline included, is synthesized exactly
+        // once: one session, one baseline, no per-point baseline lookups
+        let mut distinct: Vec<String> = configs.iter().map(Directives::id).collect();
+        distinct.push(Directives::new().id());
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(cache.misses(), distinct.len());
+        assert_eq!(cache.len(), distinct.len());
+    }
+
+    #[test]
+    fn estimate_space_returns_first_error_in_config_order() {
+        let ds = tiny_datasets();
+        let model = PowerGear::fit(&ds, &tiny_config());
+        let kernel = polybench::mvt(6);
+        let mut configs: Vec<Directives> =
+            ds[0].samples.iter().map(|s| s.directives.clone()).collect();
+        let bad = |label: &str| {
+            let mut d = Directives::new();
+            d.pipeline(label);
+            d
+        };
+        configs[2] = bad("no_loop_i");
+        configs[7] = bad("no_loop_j");
+        for threads in [1, 4] {
+            let err = model
+                .estimate_space_with(
+                    &kernel,
+                    &configs,
+                    &HlsCache::new(),
+                    &ServeConfig::new(32, threads),
+                )
+                .unwrap_err();
+            assert_eq!(
+                err,
+                HlsError::UnknownLoop("no_loop_i".into()),
+                "{threads} threads"
+            );
+        }
+
+        // an empty space synthesizes nothing, not even the baseline
+        let cache = HlsCache::new();
+        let none = model.estimate_space(&kernel, &[], &cache).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(cache.misses(), 0);
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!    unrolled-by-8 pipelined point can cost ~50x the baseline) and
 //!    static chunking would leave workers idle.
 //! 2. **Sample assembly** — tracing, graph construction and oracle
-//!    labeling run over the now-warm cache, again via an atomic cursor;
-//!    each worker pushes `(index, sample)` and results are re-ordered by
-//!    index afterwards.
+//!    labeling run over the now-warm cache, again on work-stealing
+//!    workers; results come back in config order.
+//!
+//! Both phases run on [`pg_util::par`], the workspace's one ordered
+//! work-stealing map.
 //!
 //! Both phases are scheduling-nondeterministic internally, but neither
 //! lets the schedule leak into the output: the cache keys designs by
@@ -306,42 +308,17 @@ pub fn build_kernel_dataset_cached(
         .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
 
     // Phase 2: sample assembly over the warm cache. Every `session.run`
-    // below is a cache hit; workers pull design points off an atomic
-    // cursor and results are re-ordered by index, so sample order, labels
-    // and graphs never depend on the thread count. Each worker owns one
-    // [`TraceScratch`], so the trace arena and row buffers are recycled
-    // across all design points the worker steals.
-    let assemble = |d: &Directives, scratch: &mut TraceScratch| {
-        let design = session
-            .run(d)
-            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-        sample_from_design_in(kernel, &design, &stimuli, &baseline, scratch)
-    };
-    let samples: Vec<Sample> = if cfg.threads <= 1 || configs.len() < 4 {
-        let mut scratch = TraceScratch::new();
-        configs.iter().map(|d| assemble(d, &mut scratch)).collect()
-    } else {
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let done: std::sync::Mutex<Vec<(usize, Sample)>> =
-            std::sync::Mutex::new(Vec::with_capacity(configs.len()));
-        std::thread::scope(|scope| {
-            let workers = cfg.threads.min(configs.len());
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = TraceScratch::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(d) = configs.get(i) else { break };
-                        let s = assemble(d, &mut scratch);
-                        done.lock().expect("sample lock").push((i, s));
-                    }
-                });
-            }
+    // below is a cache hit; results come back in config order, so sample
+    // order, labels and graphs never depend on the thread count. Each
+    // worker owns one [`TraceScratch`], so the trace arena and row buffers
+    // are recycled across all design points the worker steals.
+    let samples =
+        pg_util::par::map_ordered(&configs, cfg.threads, TraceScratch::new, |scratch, d| {
+            let design = session
+                .run(d)
+                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+            sample_from_design_in(kernel, &design, &stimuli, &baseline, scratch)
         });
-        let mut done = done.into_inner().expect("sample lock");
-        done.sort_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, s)| s).collect()
-    };
 
     KernelDataset {
         kernel: kernel.name.clone(),

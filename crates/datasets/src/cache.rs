@@ -335,45 +335,21 @@ impl KernelSession<'_, '_> {
     /// Synthesizes every design point of `configs` into the cache, cold
     /// points in parallel across `threads` workers.
     ///
-    /// Work is distributed dynamically (an atomic cursor over the config
-    /// list) rather than in static chunks: design points vary wildly in
-    /// synthesis cost — an unrolled-by-8 pipelined point can cost 50x the
-    /// baseline — so static sharding leaves workers idle. The cache keys
-    /// results by directive id, so the population order (which *is*
-    /// nondeterministic) never affects dataset contents.
+    /// Work is distributed dynamically by [`pg_util::par`] (an atomic
+    /// cursor over the config list) rather than in static chunks: design
+    /// points vary wildly in synthesis cost — an unrolled-by-8 pipelined
+    /// point can cost 50x the baseline — so static sharding leaves workers
+    /// idle. The cache keys results by directive id, so the population
+    /// order (which *is* nondeterministic) never affects dataset contents.
     ///
     /// # Errors
     ///
-    /// The first [`HlsError`] encountered (by config order), if any;
-    /// successfully synthesized points remain cached.
+    /// The first [`HlsError`] by config order, if any; successfully
+    /// synthesized points remain cached.
     pub fn populate(&self, configs: &[Directives], threads: usize) -> Result<(), HlsError> {
         let _t = prof::scope("populate");
-        let workers = threads.max(1).min(configs.len().max(1));
-        if workers <= 1 {
-            for d in configs {
-                self.run(d)?;
-            }
-            return Ok(());
-        }
-        let cursor = AtomicUsize::new(0);
-        let failures: Mutex<Vec<(usize, HlsError)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(d) = configs.get(i) else { break };
-                    if let Err(e) = self.run(d) {
-                        failures.lock().expect("failure lock").push((i, e));
-                    }
-                });
-            }
-        });
-        let mut failures = failures.into_inner().expect("failure lock");
-        failures.sort_by_key(|(i, _)| *i);
-        match failures.into_iter().next() {
-            None => Ok(()),
-            Some((_, e)) => Err(e),
-        }
+        pg_util::par::try_map_ordered(configs, threads, || (), |_, d| self.run(d).map(drop))?;
+        Ok(())
     }
 }
 

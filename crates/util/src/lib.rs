@@ -4,8 +4,9 @@
 //! summary statistics used throughout the evaluation harness, plain-text
 //! table/CSV writers used by the benchmark binaries to regenerate the
 //! paper's tables and figures, lightweight timer-scope instrumentation
-//! ([`prof`]) attributing cold-synthesis time across pipeline stages, and
-//! the workspace observability layer ([`metrics`] registry + [`trace`]
+//! ([`prof`]) attributing cold-synthesis time across pipeline stages, the
+//! ordered work-stealing map ([`par`]) the cold path runs on, and the
+//! workspace observability layer ([`metrics`] registry + [`trace`]
 //! per-request spans) surfaced by the serving daemon.
 //!
 //! # Examples
@@ -19,6 +20,7 @@
 
 pub mod csv;
 pub mod metrics;
+pub mod par;
 pub mod prof;
 pub mod rng;
 pub mod stats;

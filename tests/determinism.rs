@@ -4,12 +4,13 @@
 //! dataset build and with a shared memoizing HLS cache.
 
 use powergear_repro::datasets::{
-    build_all, build_kernel_dataset, build_kernel_dataset_cached, polybench, DatasetConfig,
-    HlsCache, PowerTarget,
+    build_all, build_kernel_dataset, build_kernel_dataset_cached, polybench, sample_space,
+    DatasetConfig, HlsCache, PowerTarget,
 };
-use powergear_repro::gnn::{train_ensemble, ModelConfig, TrainConfig};
+use powergear_repro::gnn::{train_ensemble, ModelConfig, ServeConfig, TrainConfig};
 use powergear_repro::graphcon::PowerGraph;
 use powergear_repro::hls::{Directives, HlsFlow};
+use powergear_repro::powergear::{PowerEstimate, PowerGear, PowerGearConfig};
 
 fn one_epoch_metrics() -> (Vec<u64>, u64) {
     let cfg = DatasetConfig {
@@ -179,6 +180,70 @@ fn training_is_bit_identical_across_thread_counts() {
                 "training diverged between 1 and {threads} threads"
             ),
         }
+    }
+}
+
+/// `estimate_space_with` builds the DSE graphs on work-stealing workers
+/// and serves them through the sharded engine: the estimates must not
+/// depend on the thread count and must equal per-point
+/// `PowerGear::estimate`. Every config appears twice in a row, so workers
+/// race on the same cache key, and the space holds 5x as many points as
+/// the largest thread count.
+#[test]
+fn estimate_space_is_bit_identical_across_thread_counts() {
+    let cfg = DatasetConfig {
+        size: 6,
+        max_samples: 12,
+        seed: 7,
+        threads: 2,
+    };
+    let train = [
+        build_kernel_dataset(&polybench::atax(6), &cfg),
+        build_kernel_dataset(&polybench::mvt(6), &cfg),
+    ];
+    let gear = PowerGear::fit(
+        &train,
+        &PowerGearConfig {
+            hidden: 8,
+            epochs: 2,
+            folds: 2,
+            seeds: vec![5],
+            batch_size: 16,
+            lr: 3e-3,
+            threads: 1,
+        },
+    );
+    let kernel = polybench::bicg(6);
+    let configs: Vec<Directives> = sample_space(&kernel, 10, 3)
+        .into_iter()
+        .flat_map(|d| [d.clone(), d])
+        .collect();
+    assert!(configs.len() >= 4 * 4);
+
+    let bits = |est: &[PowerEstimate]| -> Vec<(u64, u64, u64, usize)> {
+        est.iter()
+            .map(|e| {
+                let (t, d) = (e.total_w.to_bits(), e.dynamic_w.to_bits());
+                (t, d, e.latency_cycles, e.graph_nodes)
+            })
+            .collect()
+    };
+    let per_point: Vec<PowerEstimate> = configs
+        .iter()
+        .map(|d| gear.estimate(&kernel, d).expect("per-point estimate"))
+        .collect();
+    let reference = bits(&per_point);
+    for threads in [1, 2, 4] {
+        // small batches so the engine pass is sharded too
+        let serve = ServeConfig::new(4, threads);
+        let est = gear
+            .estimate_space_with(&kernel, &configs, &HlsCache::new(), &serve)
+            .expect("estimate_space_with");
+        assert_eq!(
+            bits(&est),
+            reference,
+            "estimate_space diverged from per-point estimates at {threads} threads"
+        );
     }
 }
 
