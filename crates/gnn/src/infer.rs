@@ -11,12 +11,22 @@
 //! gather → scale → scatter chain into one pass. Layer outputs are pooled
 //! as soon as they are produced, so only the current activation is kept.
 //!
+//! HEC relation messages follow the tape's factored Eq. 5 (see
+//! [`crate::model`]): the 4 × h product `W_E·W_r` is formed per relation
+//! group and the n × 4 edge sums are multiplied by it straight into the
+//! layer sum, so no n × h projection or message buffer exists on that
+//! path. Per layer and relation at h = 32 this is `128n + 4096`
+//! multiply-adds instead of `1152n`.
+//!
 //! # Bit-identity with the tape
 //!
 //! Every value is produced by the same float operations in the same order
 //! as the tape ops it replaces. Matmuls, bias-and-ReLU epilogues, row
 //! scaling, scatter-add/max and the segment softmax are the very
-//! [`Matrix`] kernels the tape ops call. The fused passes add `x[src]·w`
+//! [`Matrix`] kernels the tape ops call. A message added with
+//! [`Matrix::add_matmul_assign`] is rounded as the tape's materialized
+//! product and then added, as the tape's `add_n` adds it, so dropping the
+//! buffer changes no bit. The fused passes add `x[src]·w`
 //! (rounded, as the materialized product was) into destination rows in
 //! edge order, and GINE's message keeps the tape's plain ReLU. Only copies
 //! and allocations disappear, so predictions match the tape forward bit
@@ -75,10 +85,8 @@ fn gather_scatter(
 struct Scratch {
     /// Neighbour aggregate (pre-projection).
     agg: Matrix,
-    /// Projected aggregate / second term of a layer.
+    /// Projected aggregate / second term of a layer, or HEC's `W_E·W_r`.
     proj: Matrix,
-    /// Per-relation message after `W_r`.
-    msg: Matrix,
     /// Per-head attention scores and softmax weights.
     score: Matrix,
     /// Per-head projected output.
@@ -99,7 +107,6 @@ impl Scratch {
         Scratch {
             agg: tape.scratch(),
             proj: tape.scratch(),
-            msg: tape.scratch(),
             score: tape.scratch(),
             head: tape.scratch(),
             ein: tape.scratch(),
@@ -114,7 +121,6 @@ impl Scratch {
         for m in [
             self.agg,
             self.proj,
-            self.msg,
             self.score,
             self.head,
             self.ein,
@@ -319,23 +325,29 @@ impl PowerModel {
             if edges.is_empty() {
                 continue;
             }
-            if cfg.heads == 0 {
-                let we = self.param(self.slots.we[l]);
-                if cfg.use_edge_feats {
-                    shared.edge_sums[g].matmul_into(we, &mut sc.proj);
-                } else {
-                    gather_scatter(x, &edges.src, &edges.dst, None, n, &mut sc.agg);
-                    sc.agg.matmul_into(we, &mut sc.proj);
+            let wr = cfg.heterogeneous.then(|| self.param(self.slots.wr[l][r]));
+            if cfg.heads == 0 && cfg.use_edge_feats {
+                // Eq. 5 as the tape evaluates it: S_r · (W_E · W_r).
+                let (summed, we) = (&shared.edge_sums[g], self.param(self.slots.we[l]));
+                match wr {
+                    Some(wr) => {
+                        we.matmul_into(wr, &mut sc.proj);
+                        out.add_matmul_assign(summed, &sc.proj);
+                    }
+                    None => out.add_matmul_assign(summed, we),
                 }
+                continue;
+            }
+            if cfg.heads == 0 {
+                gather_scatter(x, &edges.src, &edges.dst, None, n, &mut sc.agg);
+                sc.agg
+                    .matmul_into(self.param(self.slots.we[l]), &mut sc.proj);
             } else {
                 self.eval_attention_agg(x, edges, l, n, sc);
             }
-            if cfg.heterogeneous {
-                sc.proj
-                    .matmul_into(self.param(self.slots.wr[l][r]), &mut sc.msg);
-                out.add_assign(&sc.msg);
-            } else {
-                out.add_assign(&sc.proj);
+            match wr {
+                Some(wr) => out.add_matmul_assign(&sc.proj, wr),
+                None => out.add_assign(&sc.proj),
             }
         }
         out.add_row_relu_assign(self.param(self.slots.bias[l]));

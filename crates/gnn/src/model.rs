@@ -8,10 +8,18 @@
 //! head (Eq. 7). Ablation switches (edge features / directionality /
 //! heterogeneity / metadata) reproduce the variants of Table II.
 //!
-//! The HEC-GNN aggregation exploits linearity: `Σ_u W_r W_E e_{u,v,r}` is
-//! computed as `W_r · W_E · Σ_u e_{u,v,r}` — edge features are scatter-added
-//! per relation *before* the two projections, which is mathematically
-//! identical to Eq. 5 and far cheaper.
+//! The HEC-GNN aggregation exploits linearity and associativity. In this
+//! row-major code Eq. 5's message `Σ_u W_r W_E e_{u,v,r}` is
+//! `(Σ_u e_{u,v,r}) · W_E · W_r`, and it is evaluated as `S_r · P_r`:
+//! `S_r` holds the relation's edge features scatter-added per destination
+//! (n × 4, formed once per forward because it depends only on the batch),
+//! and `P_r = W_E · W_r` is the 4 × h weight product, multiplied from the
+//! parameters on every forward. That costs `4·h·n + 4·h²` multiply-adds
+//! per layer and relation, against `n·(4h + h²)` for `(S_r · W_E) · W_r`.
+//! The result equals Eq. 5 in exact arithmetic; in f32 the reassociation
+//! rounds differently from the unfactored order, and a test in this module
+//! bounds the gap in outputs and gradients against an unfactored
+//! reference layer.
 //!
 //! Two forward passes share these semantics. [`PowerModel::forward`]
 //! records onto an autodiff [`Tape`] and serves training (and is the
@@ -343,10 +351,11 @@ impl PowerModel {
     ) -> Var {
         let n = batch.num_nodes;
         let mut x = tape.leaf(&batch.node_feats);
+        let edge_sums = self.hec_edge_sums(tape, batch);
         let mut layer_outputs = Vec::with_capacity(self.config.layers);
         for l in 0..self.config.layers {
             let h = match self.config.arch {
-                Arch::Hec => self.hec_layer(tape, batch, x, l, n),
+                Arch::Hec => self.hec_layer(tape, batch, &edge_sums, x, l, n),
                 Arch::Gcn => self.gcn_layer(tape, batch, x, l, n),
                 Arch::Sage => self.sage_layer(tape, batch, x, l, n),
                 Arch::GraphConv => self.graphconv_layer(tape, batch, x, l, n),
@@ -356,6 +365,12 @@ impl PowerModel {
             layer_outputs.push(h);
             x = h;
         }
+        self.readout(tape, batch, layer_outputs)
+    }
+
+    /// Eq. 6–7 on the tape: jumping-knowledge pooling of `layer_outputs`,
+    /// the optional metadata branch and the regression head.
+    fn readout(&self, tape: &mut Tape, batch: &GraphBatch, layer_outputs: Vec<Var>) -> Var {
         // Eq. 6: jumping-knowledge pooling over all conv layers (the
         // paper uses sum; mean and max are zoo variants).
         let inv_counts: Vec<f32> = if self.config.pool == Pool::Mean {
@@ -425,7 +440,35 @@ impl PowerModel {
         groups
     }
 
-    fn hec_layer(&self, tape: &mut Tape, batch: &GraphBatch, x: Var, l: usize, n: usize) -> Var {
+    /// `Σ_u e_{u,v,r}` per [`PowerModel::hec_groups`] group (`None` for
+    /// an empty group), recorded once per forward: the sums depend only on
+    /// the batch, and every layer's Eq. 5 message starts from them. Empty
+    /// unless the model is HEC without attention and with edge features.
+    fn hec_edge_sums(&self, tape: &mut Tape, batch: &GraphBatch) -> Vec<Option<Var>> {
+        let cfg = &self.config;
+        if cfg.arch != Arch::Hec || cfg.heads != 0 || !cfg.use_edge_feats {
+            return Vec::new();
+        }
+        self.hec_groups(batch)
+            .into_iter()
+            .map(|(_, edges)| {
+                (!edges.is_empty()).then(|| {
+                    let ef = tape.leaf(&edges.feats);
+                    tape.scatter_add(ef, &edges.dst, batch.num_nodes)
+                })
+            })
+            .collect()
+    }
+
+    fn hec_layer(
+        &self,
+        tape: &mut Tape,
+        batch: &GraphBatch,
+        edge_sums: &[Option<Var>],
+        x: Var,
+        l: usize,
+        n: usize,
+    ) -> Var {
         let wv = self.p(tape, self.slots.wv[l]);
         let mut terms = vec![tape.matmul(x, wv)];
         let we = if self.config.heads == 0 {
@@ -433,29 +476,50 @@ impl PowerModel {
         } else {
             None // attention path projects per head instead
         };
-        for (r, edges) in self.hec_groups(batch) {
+        // P_r = W_E·W_r, formed once per relation and layer; the reverse
+        // groups of the undirected ablation reuse it.
+        let mut rel_proj: [Option<Var>; Relation::COUNT] = [None; Relation::COUNT];
+        for (g, (r, edges)) in self.hec_groups(batch).into_iter().enumerate() {
             if edges.is_empty() {
                 continue;
             }
-            let agg = if let Some(we) = we {
-                if self.config.use_edge_feats {
-                    // Σ_u e_{u,v,r} first (linearity of Eq. 5), then W_E, W_r.
-                    let ef = tape.leaf(&edges.feats);
-                    let summed = tape.scatter_add(ef, &edges.dst, n);
-                    tape.matmul(summed, we)
-                } else {
-                    let hs = tape.gather(x, &edges.src);
-                    let summed = tape.scatter_add(hs, &edges.dst, n);
-                    tape.matmul(summed, we)
+            let msg = match (we, edge_sums.get(g).copied().flatten()) {
+                // Eq. 5 with the weights multiplied first: the summed edge
+                // features (n × 4) meet the 4 × h product W_E·W_r, so no
+                // n × h × h matmul runs per relation.
+                (Some(we), Some(summed)) => {
+                    if self.config.heterogeneous {
+                        let p = match rel_proj[r] {
+                            Some(p) => p,
+                            None => {
+                                let wr = self.p(tape, self.slots.wr[l][r]);
+                                let p = tape.matmul(we, wr);
+                                rel_proj[r] = Some(p);
+                                p
+                            }
+                        };
+                        tape.matmul(summed, p)
+                    } else {
+                        tape.matmul(summed, we)
+                    }
                 }
-            } else {
-                self.attention_agg(tape, x, edges, l, n)
-            };
-            let msg = if self.config.heterogeneous {
-                let wr = self.p(tape, self.slots.wr[l][r]);
-                tape.matmul(agg, wr)
-            } else {
-                agg
+                _ => {
+                    let agg = match we {
+                        // Σ_u h_u first (linearity of Eq. 5), then W_E.
+                        Some(we) => {
+                            let hs = tape.gather(x, &edges.src);
+                            let summed = tape.scatter_add(hs, &edges.dst, n);
+                            tape.matmul(summed, we)
+                        }
+                        None => self.attention_agg(tape, x, edges, l, n),
+                    };
+                    if self.config.heterogeneous {
+                        let wr = self.p(tape, self.slots.wr[l][r]);
+                        tape.matmul(agg, wr)
+                    } else {
+                        agg
+                    }
+                }
             };
             terms.push(msg);
         }
@@ -856,6 +920,157 @@ mod tests {
         let preds = model.predict(&refs);
         assert!((preds[0] - 0.5).abs() < 0.15, "pred {:?}", preds);
         assert!((preds[1] - 2.0).abs() < 0.3, "pred {:?}", preds);
+    }
+
+    /// A graph with random edges, relations and activities, `6..30`
+    /// nodes and about two edges per node.
+    fn random_graph(seed: u64) -> PowerGraph {
+        let mut rng = Rng64::new(seed);
+        let nodes = 6 + rng.below(24);
+        let f = PowerGraph::NODE_FEATS;
+        let mut node_feats = vec![0.0f32; nodes * f];
+        for n in 0..nodes {
+            node_feats[n * f + rng.below(5)] = 1.0;
+            node_feats[n * f + 28 + rng.below(6)] = rng.f32();
+        }
+        let ne = 2 * nodes;
+        let edges: Vec<(u32, u32)> = (0..ne)
+            .map(|_| (rng.below(nodes) as u32, rng.below(nodes) as u32))
+            .collect();
+        PowerGraph {
+            kernel: "r".into(),
+            design_id: format!("r{seed}"),
+            num_nodes: nodes,
+            node_feats,
+            edges,
+            edge_feats: (0..ne)
+                .map(|_| [rng.f32(), rng.f32(), rng.f32() * 0.5, rng.f32() * 0.5])
+                .collect(),
+            edge_rel: (0..ne)
+                .map(|_| match rng.below(4) {
+                    0 => Relation::AA,
+                    1 => Relation::AN,
+                    2 => Relation::NA,
+                    _ => Relation::NN,
+                })
+                .collect(),
+            meta: (0..10).map(|_| rng.f32()).collect(),
+        }
+    }
+
+    /// Eq. 5 in its unfactored order, `(S_r · W_E) · W_r`, with the edge
+    /// sums recorded in every layer: the reference for the factored
+    /// `S_r · (W_E · W_r)` layer.
+    fn reference_hec_layer(
+        model: &PowerModel,
+        tape: &mut Tape,
+        batch: &GraphBatch,
+        x: Var,
+        l: usize,
+    ) -> Var {
+        let n = batch.num_nodes;
+        let wv = model.p(tape, model.slots.wv[l]);
+        let mut terms = vec![tape.matmul(x, wv)];
+        let we = model.p(tape, model.slots.we[l]);
+        for (r, edges) in model.hec_groups(batch) {
+            if edges.is_empty() {
+                continue;
+            }
+            let ef = tape.leaf(&edges.feats);
+            let summed = tape.scatter_add(ef, &edges.dst, n);
+            let proj = tape.matmul(summed, we);
+            let wr = model.p(tape, model.slots.wr[l][r]);
+            terms.push(tape.matmul(proj, wr));
+        }
+        let s = tape.add_n(terms);
+        let b = model.p(tape, model.slots.bias[l]);
+        tape.add_row_relu(s, b)
+    }
+
+    /// Output value and per-slot parameter gradients of an MSE loss.
+    fn output_and_grads(
+        tape: &mut Tape,
+        out: Var,
+        targets: &[f32],
+    ) -> (Matrix, Vec<Option<Matrix>>) {
+        let value = tape.value(out).clone();
+        let loss = tape.mse_loss(out, targets);
+        (value, tape.backward(loss))
+    }
+
+    /// `max |a − b| / max |b|`.
+    fn rel_err(a: &Matrix, b: &Matrix) -> f32 {
+        assert_eq!((a.rows, a.cols), (b.rows, b.cols));
+        let diff = a
+            .data
+            .iter()
+            .zip(&b.data)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0f32, f32::max);
+        let scale = b.data.iter().map(|y| y.abs()).fold(0.0f32, f32::max);
+        diff / scale.max(f32::MIN_POSITIVE)
+    }
+
+    #[test]
+    fn factored_hec_matches_unfactored_reference() {
+        // Reassociating Eq. 5 only reorders f32 roundings: outputs and
+        // every parameter gradient stay within this relative error
+        // (max-abs difference over max-abs reference value). The worst
+        // case over these batches is about 2.5e-6.
+        const TOL: f32 = 1e-4;
+        for hidden in [8, 32] {
+            for directed in [true, false] {
+                for seed in 0..8u64 {
+                    let mut rng = Rng64::new(seed ^ 0x5eed);
+                    let graphs: Vec<PowerGraph> = (0..1 + rng.below(4))
+                        .map(|i| random_graph(seed * 16 + i as u64))
+                        .collect();
+                    let refs: Vec<&PowerGraph> = graphs.iter().collect();
+                    let targets: Vec<f32> = refs.iter().map(|_| 0.5 + rng.f32()).collect();
+                    let t64: Vec<f64> = targets.iter().map(|&t| t as f64).collect();
+                    let batch = GraphBatch::new(&refs, &t64);
+                    let mut cfg = ModelConfig::hec(hidden);
+                    cfg.directed = directed;
+                    let mut model = PowerModel::new(cfg, seed);
+                    // Nonzero biases move ReLU thresholds off the defaults.
+                    for slot in 0..model.store.len() {
+                        for v in &mut model.store.get_mut(slot).data {
+                            *v += (rng.f32() - 0.5) * 0.2;
+                        }
+                    }
+
+                    let mut tape = Tape::new();
+                    let out = model.forward(&mut tape, &batch, false, &mut Rng64::new(0));
+                    let (got, got_grads) = output_and_grads(&mut tape, out, &targets);
+
+                    let mut tape = Tape::new();
+                    let mut x = tape.leaf(&batch.node_feats);
+                    let mut layer_outputs = Vec::new();
+                    for l in 0..model.config.layers {
+                        x = reference_hec_layer(&model, &mut tape, &batch, x, l);
+                        layer_outputs.push(x);
+                    }
+                    let out = model.readout(&mut tape, &batch, layer_outputs);
+                    let (want, want_grads) = output_and_grads(&mut tape, out, &targets);
+
+                    let case = format!("h={hidden} directed={directed} seed={seed}");
+                    let e = rel_err(&got, &want);
+                    assert!(e <= TOL, "{case}: output rel err {e}");
+                    assert_eq!(got_grads.len(), want_grads.len(), "{case}");
+                    for (slot, (g, w)) in got_grads.iter().zip(&want_grads).enumerate() {
+                        let name = model.store.name(slot);
+                        match (g, w) {
+                            (Some(g), Some(w)) => {
+                                let e = rel_err(g, w);
+                                assert!(e <= TOL, "{case}: d{name} rel err {e}");
+                            }
+                            (None, None) => {}
+                            _ => panic!("{case}: d{name} present on one side only"),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

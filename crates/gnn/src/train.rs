@@ -189,6 +189,16 @@ pub fn train_single(
     let mut shard_tapes: Vec<Tape> = (0..max_shards).map(|_| Tape::new()).collect();
     let mut accum = GradAccum::new(model.store.len());
 
+    // The validation set never changes: assemble its batch once and score
+    // it every epoch on one reused tape (the same forward `evaluate_model`
+    // runs, so the MAPE is bit-identical).
+    let val_targets: Vec<f64> = val.iter().map(|(_, t)| *t).collect();
+    let val_batch = (!val.is_empty()).then(|| {
+        let graphs: Vec<&PowerGraph> = val.iter().map(|(g, _)| *g).collect();
+        GraphBatch::new(&graphs, &val_targets)
+    });
+    let mut val_tape = Tape::new();
+
     for epoch in 0..cfg.epochs {
         // step learning-rate decay: x0.5 at 60 % and 85 % of the budget
         let frac = epoch as f32 / cfg.epochs.max(1) as f32;
@@ -268,8 +278,9 @@ pub fn train_single(
             opt.step(&mut model.store, accum.mean_in_place());
         }
 
-        if !val.is_empty() {
-            let val_err = evaluate_model(&model, val);
+        if let Some(val_batch) = &val_batch {
+            let preds = model.predict_prebuilt_in(val_batch, &mut val_tape);
+            let val_err = mape(&preds, &val_targets);
             let improved = best.as_ref().map(|(b, _)| val_err < *b).unwrap_or(true);
             if improved {
                 best = Some((val_err, model.store.clone()));

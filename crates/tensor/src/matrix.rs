@@ -44,7 +44,10 @@
 //!
 //! The `*_into` variants write into a caller-provided output matrix so
 //! hot loops (the autodiff tape's arena) can recycle buffers instead of
-//! reallocating every step.
+//! reallocating every step. [`Matrix::add_matmul_assign`] runs the `A·B`
+//! kernel but adds each finished element to its output instead of storing
+//! it, so `C += A·B` needs no product buffer and rounds exactly as the
+//! matmul followed by [`Matrix::add_assign`].
 
 use std::fmt;
 
@@ -140,8 +143,34 @@ impl Matrix {
     /// Panics on inner-dimension mismatch.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
+        out.reshape_for_output(self.rows, other.cols);
+        self.matmul_kernel::<false>(other, out);
+    }
+
+    /// `self += a · b`, bitwise equal to `a.matmul_into(b, &mut t)`
+    /// followed by `self.add_assign(&t)`: each product element is summed
+    /// k-ascending from zero exactly as [`Matrix::matmul_into`] sums it,
+    /// then added to `self`, without materializing the product.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inner-dimension mismatch or if `self` is not
+    /// `a.rows × b.cols`.
+    pub fn add_matmul_assign(&mut self, a: &Matrix, b: &Matrix) {
+        assert_eq!(a.cols, b.rows, "matmul inner dimension mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (a.rows, b.cols),
+            "add_matmul_assign shape mismatch"
+        );
+        a.matmul_kernel::<true>(b, self);
+    }
+
+    /// The tiled `self · other` kernel over an output already shaped
+    /// `self.rows × other.cols`. Each finished element is stored, or with
+    /// `ACC` added to what `out` holds.
+    fn matmul_kernel<const ACC: bool>(&self, other: &Matrix, out: &mut Matrix) {
         let (m, kk, n) = (self.rows, self.cols, other.cols);
-        out.reshape_for_output(m, n);
         let a = &self.data;
         let b = &other.data;
         let mut i = 0;
@@ -169,7 +198,14 @@ impl Matrix {
                         }
                     }
                     for (r, arow) in acc.iter().enumerate() {
-                        out.data[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(arow);
+                        let orow = &mut out.data[(i + r) * n + j..(i + r) * n + j + NR];
+                        if ACC {
+                            for (o, &v) in orow.iter_mut().zip(arow) {
+                                *o += v;
+                            }
+                        } else {
+                            orow.copy_from_slice(arow);
+                        }
                     }
                 } else {
                     // Fringe: scalar loop, identical k-ascending order.
@@ -180,7 +216,12 @@ impl Matrix {
                             for (k, &av) in arow.iter().enumerate() {
                                 s += av * b[k * n + j + c];
                             }
-                            out.data[(i + r) * n + j + c] = s;
+                            let o = &mut out.data[(i + r) * n + j + c];
+                            if ACC {
+                                *o += s;
+                            } else {
+                                *o = s;
+                            }
                         }
                     }
                 }
@@ -570,6 +611,21 @@ mod tests {
             let b = Matrix::from_vec(k, n, (0..k * n).map(|v| (v as f32) * -0.11 + 2.0).collect());
             let got = a.matmul(&b);
             let want = reference_matmul(&a, &b);
+            assert_eq!(got, want, "shape {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn add_matmul_assign_equals_matmul_then_add() {
+        for &(m, k, n) in &[(1, 1, 1), (4, 4, 8), (9, 4, 32), (13, 7, 17)] {
+            let a = Matrix::from_vec(m, k, (0..m * k).map(|v| (v as f32) * 0.37 - 1.0).collect());
+            let b = Matrix::from_vec(k, n, (0..k * n).map(|v| (v as f32) * -0.11 + 2.0).collect());
+            let base =
+                Matrix::from_vec(m, n, (0..m * n).map(|v| (v as f32) * 0.013 - 0.5).collect());
+            let mut want = base.clone();
+            want.add_assign(&a.matmul(&b));
+            let mut got = base;
+            got.add_matmul_assign(&a, &b);
             assert_eq!(got, want, "shape {m}x{k}x{n}");
         }
     }
