@@ -66,6 +66,8 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
             "pg_dse",
             "pg_gnn",
             "pg_graphcon",
+            // the LOKO harness scores HL-Pow beside the GNNs
+            "pg_hlpow",
             "pg_hls",
             "pg_ir",
             "pg_powersim",

@@ -5,29 +5,36 @@
 //! Emits `results/fig4_<kernel>.csv` plus an ASCII rendering.
 //!
 //! ```text
-//! cargo run -p powergear-bench --release --bin fig4 [-- --full]
+//! cargo run -p powergear_bench --release --bin fig4 [-- --full] [--kernels atax,mvt]
 //! ```
 
+use pg_datasets::PowerTarget::Dynamic;
 use pg_dse::{run_dse, DseConfig, Point};
 use pg_util::CsvWriter;
-use powergear_bench::drivers::{evaluate_all, results_dir, EvalConfig};
+use powergear_bench::tables::{cache_path, preset, results_dir, table1_eval, PG};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args);
-    eprintln!("[fig4] config hash {:016x}", cfg.hash());
-    let ctx = evaluate_all(&cfg);
+    let cfg = preset(&args).unwrap_or_else(|e| {
+        eprintln!("fig4: {e}");
+        std::process::exit(2)
+    });
+    let (eval, hit) = table1_eval(&cfg);
+    let verb = if hit { "loaded" } else { "cached" };
+    eprintln!("[fig4] {verb} {}", cache_path(&cfg).display());
 
     for kernel in ["atax", "mvt"] {
-        let rows = ctx.rows_of(kernel);
-        if rows.is_empty() {
-            eprintln!("[fig4] no rows for {kernel}, skipping");
+        let Some((fold, _)) = eval.kernel(kernel) else {
+            eprintln!("[fig4] {kernel} not evaluated, skipping");
             continue;
-        }
-        let latency: Vec<f64> = rows.iter().map(|r| r.latency).collect();
-        let truth: Vec<f64> = rows.iter().map(|r| r.truth_dyn).collect();
-        let pg: Vec<f64> = rows.iter().map(|r| r.pg_dyn).collect();
-        let out = run_dse(&latency, &truth, &pg, &DseConfig::with_budget(0.4, 7));
+        };
+        let (latency, truth) = (&fold.latency, fold.truth_of(Dynamic));
+        let out = run_dse(
+            latency,
+            truth,
+            fold.preds_of(PG, Dynamic),
+            &DseConfig::with_budget(0.4, 7),
+        );
 
         let exact: Vec<usize> = out.exact_frontier.iter().map(|p| p.id).collect();
         let approx: Vec<usize> = out.approx_frontier.iter().map(|p| p.id).collect();
@@ -38,7 +45,7 @@ fn main() {
             "exact_frontier",
             "approx_frontier",
         ]);
-        for (i, (&l, &p)) in latency.iter().zip(&truth).enumerate() {
+        for (i, (&l, &p)) in latency.iter().zip(truth).enumerate() {
             csv.row(&[
                 l,
                 p,
@@ -59,7 +66,7 @@ fn main() {
             "\nFig. 4 ({kernel}): latency vs dynamic power (ADRS {:.4})",
             out.adrs
         );
-        println!("{}", ascii_plot(&latency, &truth, &exact, &approx));
+        println!("{}", ascii_plot(latency, truth, &exact, &approx));
     }
 }
 

@@ -13,8 +13,8 @@
 //!   configurations by held-out dynamic-power MAPE.
 //!
 //! ```text
-//! cargo run -p powergear-bench --release --bin graph_ablation [-- --kernels atax,mvt,bicg]
-//! cargo run -p powergear-bench --release --bin graph_ablation -- --zoo
+//! cargo run -p powergear_bench --release --bin graph_ablation [-- --kernels atax,mvt,bicg]
+//! cargo run -p powergear_bench --release --bin graph_ablation -- --zoo
 //! ```
 
 use pg_activity::{execute, Stimuli};
@@ -24,8 +24,8 @@ use pg_graphcon::{GraphConfig, GraphFlow, PowerGraph};
 use pg_hls::{Directives, HlsFlow};
 use pg_powersim::BoardOracle;
 use pg_util::{mean, Rng64, Table};
-use powergear::eval::{run_loko, EvalConfig};
-use powergear_bench::drivers::results_dir;
+use powergear::eval::{kernels_flag, run_loko, EvalConfig};
+use powergear_bench::tables::results_dir;
 
 struct FlowVariant {
     name: &'static str,
@@ -146,11 +146,11 @@ fn run_zoo(kernels: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kernels: Vec<String> = args
-        .iter()
-        .position(|a| a == "--kernels")
-        .and_then(|i| args.get(i + 1))
-        .map(|l| l.split(',').map(|s| s.to_string()).collect())
+    let kernels = kernels_flag(&args)
+        .unwrap_or_else(|e| {
+            eprintln!("graph_ablation: {e}");
+            std::process::exit(2)
+        })
         .unwrap_or_else(|| vec!["atax".into(), "mvt".into(), "bicg".into()]);
     if args.iter().any(|a| a == "--zoo") {
         run_zoo(&kernels);

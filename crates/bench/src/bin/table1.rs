@@ -3,17 +3,24 @@
 //! Vivado estimator surrogate.
 //!
 //! ```text
-//! cargo run -p powergear-bench --release --bin table1 [-- --full] [--kernels atax,mvt]
+//! cargo run -p powergear_bench --release --bin table1 [-- --full] [--kernels atax,mvt]
 //! ```
 
+use pg_datasets::PowerTarget::{Dynamic, Total};
 use pg_util::{mean, Table};
-use powergear_bench::drivers::{evaluate_all, results_dir, EvalConfig};
+use powergear_bench::tables::{
+    cache_path, preset, results_dir, table1_eval, BASELINES, HLPOW, PG, VIVADO,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args);
-    eprintln!("[table1] config hash {:016x}", cfg.hash());
-    let ctx = evaluate_all(&cfg);
+    let cfg = preset(&args).unwrap_or_else(|e| {
+        eprintln!("table1: {e}");
+        std::process::exit(2)
+    });
+    let (eval, hit) = table1_eval(&cfg);
+    let verb = if hit { "loaded" } else { "cached" };
+    eprintln!("[table1] {verb} {}", cache_path(&cfg).display());
 
     let mut table = Table::new(&[
         "Dataset",
@@ -31,65 +38,40 @@ fn main() {
         "Speedup",
     ]);
 
+    let mut n_samples = Vec::new();
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 11];
-    for info in &ctx.info {
-        let k = &info.kernel;
-        let viv_t = ctx.kernel_mape(k, |r| r.viv_total, |r| r.truth_total);
-        let hlp_t = ctx.kernel_mape(k, |r| r.hlpow_total, |r| r.truth_total);
-        let pg_t = ctx.kernel_mape(k, |r| r.pg_total, |r| r.truth_total);
-        let gcn = ctx.kernel_mape(k, |r| r.gcn_dyn, |r| r.truth_dyn);
-        let sage = ctx.kernel_mape(k, |r| r.sage_dyn, |r| r.truth_dyn);
-        let gconv = ctx.kernel_mape(k, |r| r.gconv_dyn, |r| r.truth_dyn);
-        let gine = ctx.kernel_mape(k, |r| r.gine_dyn, |r| r.truth_dyn);
-        let hlp_d = ctx.kernel_mape(k, |r| r.hlpow_dyn, |r| r.truth_dyn);
-        let pg_d = ctx.kernel_mape(k, |r| r.pg_dyn, |r| r.truth_dyn);
-        let speedup = info.viv_ms / info.pg_ms.max(1e-9);
-        let vals = [
-            viv_t, hlp_t, pg_t, gcn, sage, gconv, gine, hlp_d, pg_d, speedup,
+    for kernel in cfg.kernel_names() {
+        let (fold, info) = eval.kernel(&kernel).expect("every kernel is evaluated");
+        let mut errs = vec![
+            fold.mape(VIVADO, Total),
+            fold.mape(HLPOW, Total),
+            fold.mape(PG, Total),
         ];
-        for (c, v) in cols
-            .iter_mut()
-            .zip(std::iter::once(info.avg_nodes).chain(vals.iter().copied()))
-        {
+        errs.extend(BASELINES.map(|e| fold.mape(e, Dynamic)));
+        errs.extend([fold.mape(HLPOW, Dynamic), fold.mape(PG, Dynamic)]);
+        let speedup = info.viv_ms / info.pg_ms.max(1e-9);
+        let vals = std::iter::once(info.avg_nodes).chain(errs.iter().copied());
+        for (c, v) in cols.iter_mut().zip(vals.chain([speedup])) {
             c.push(v);
         }
-        table.row(vec![
-            k.clone(),
-            info.n_samples.to_string(),
+        n_samples.push(fold.latency.len() as f64);
+        let mut row = vec![
+            kernel.clone(),
+            fold.latency.len().to_string(),
             format!("{:.0}", info.avg_nodes),
-            Table::fmt_f(viv_t, 2),
-            Table::fmt_f(hlp_t, 2),
-            Table::fmt_f(pg_t, 2),
-            Table::fmt_f(gcn, 2),
-            Table::fmt_f(sage, 2),
-            Table::fmt_f(gconv, 2),
-            Table::fmt_f(gine, 2),
-            Table::fmt_f(hlp_d, 2),
-            Table::fmt_f(pg_d, 2),
-            format!("{:.2}x", speedup),
-        ]);
+        ];
+        row.extend(errs.iter().map(|&e| Table::fmt_f(e, 2)));
+        row.push(format!("{speedup:.2}x"));
+        table.row(row);
     }
-    let n_avg = mean(
-        &ctx.info
-            .iter()
-            .map(|i| i.n_samples as f64)
-            .collect::<Vec<_>>(),
-    );
-    table.row(vec![
-        "Average".into(),
-        format!("{n_avg:.0}"),
+    let mut avg = vec![
+        "Average".to_string(),
+        format!("{:.0}", mean(&n_samples)),
         format!("{:.0}", mean(&cols[0])),
-        Table::fmt_f(mean(&cols[1]), 2),
-        Table::fmt_f(mean(&cols[2]), 2),
-        Table::fmt_f(mean(&cols[3]), 2),
-        Table::fmt_f(mean(&cols[4]), 2),
-        Table::fmt_f(mean(&cols[5]), 2),
-        Table::fmt_f(mean(&cols[6]), 2),
-        Table::fmt_f(mean(&cols[7]), 2),
-        Table::fmt_f(mean(&cols[8]), 2),
-        Table::fmt_f(mean(&cols[9]), 2),
-        format!("{:.2}x", mean(&cols[10])),
-    ]);
+    ];
+    avg.extend(cols[1..10].iter().map(|c| Table::fmt_f(mean(c), 2)));
+    avg.push(format!("{:.2}x", mean(&cols[10])));
+    table.row(avg);
 
     println!("\nTable I (reproduced): estimation error (MAPE %) and speedup\n");
     println!("{table}");

@@ -4,18 +4,23 @@
 //! gains.
 //!
 //! ```text
-//! cargo run -p powergear-bench --release --bin table3 [-- --full]
+//! cargo run -p powergear_bench --release --bin table3 [-- --full] [--kernels atax,mvt]
 //! ```
 
+use pg_datasets::PowerTarget::Dynamic;
 use pg_dse::{run_dse, DseConfig};
 use pg_util::{mean, Table};
-use powergear_bench::drivers::{evaluate_all, results_dir, EvalConfig};
+use powergear_bench::tables::{cache_path, preset, results_dir, table1_eval, HLPOW, PG, VIVADO};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args);
-    eprintln!("[table3] config hash {:016x}", cfg.hash());
-    let ctx = evaluate_all(&cfg);
+    let cfg = preset(&args).unwrap_or_else(|e| {
+        eprintln!("table3: {e}");
+        std::process::exit(2)
+    });
+    let (eval, hit) = table1_eval(&cfg);
+    let verb = if hit { "loaded" } else { "cached" };
+    eprintln!("[table3] {verb} {}", cache_path(&cfg).display());
 
     let budgets = [0.2, 0.3, 0.4];
     let mut table = Table::new(&[
@@ -32,21 +37,18 @@ fn main() {
         let mut hlp_scores = Vec::new();
         let mut pg_scores = Vec::new();
         for kernel in cfg.kernel_names() {
-            let rows = ctx.rows_of(&kernel);
-            if rows.len() < 10 {
+            let (fold, _) = eval.kernel(&kernel).expect("every kernel is evaluated");
+            if fold.latency.len() < 10 {
                 continue;
             }
-            let latency: Vec<f64> = rows.iter().map(|r| r.latency).collect();
-            let truth: Vec<f64> = rows.iter().map(|r| r.truth_dyn).collect();
+            let truth = fold.truth_of(Dynamic);
             // average over a few seeds to de-noise the sampling loop
             for seed in [3u64, 11, 19] {
                 let dcfg = DseConfig::with_budget(budget, seed);
-                let viv: Vec<f64> = rows.iter().map(|r| r.viv_dyn).collect();
-                let hlp: Vec<f64> = rows.iter().map(|r| r.hlpow_dyn).collect();
-                let pg: Vec<f64> = rows.iter().map(|r| r.pg_dyn).collect();
-                viv_scores.push(run_dse(&latency, &truth, &viv, &dcfg).adrs);
-                hlp_scores.push(run_dse(&latency, &truth, &hlp, &dcfg).adrs);
-                pg_scores.push(run_dse(&latency, &truth, &pg, &dcfg).adrs);
+                let adrs = |e| run_dse(&fold.latency, truth, fold.preds_of(e, Dynamic), &dcfg).adrs;
+                viv_scores.push(adrs(VIVADO));
+                hlp_scores.push(adrs(HLPOW));
+                pg_scores.push(adrs(PG));
             }
         }
         let (viv, hlp, pg) = (mean(&viv_scores), mean(&hlp_scores), mean(&pg_scores));

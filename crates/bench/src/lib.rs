@@ -1,7 +1,8 @@
-//! Benchmark harness shared code: experiment drivers that regenerate every
-//! table and figure of the paper's evaluation (§IV).
+//! Benchmark harness shared code: the paper-table binaries' presets and
+//! cache, runtime probes, the serve load generator and the perf gate.
 //!
-//! The binaries are thin wrappers:
+//! The table/figure binaries are thin renderers over the one
+//! leave-one-kernel-out harness, [`powergear::eval`]:
 //!
 //! * `table1` — dataset properties, total/dynamic power estimation errors
 //!   for Vivado / HL-Pow / PowerGear / GCN / GraphSage / GraphConv / GINE,
@@ -13,14 +14,15 @@
 //! * `fig4` — latency/dynamic-power Pareto frontiers for Atax and Mvt
 //!   (CSV + ASCII rendering).
 //!
-//! Every driver accepts an [`EvalConfig`]; `--full` on the binaries raises
-//! the scale toward the paper's settings.
+//! Each takes a plain [`powergear::eval::EvalConfig`] preset
+//! ([`tables::preset`]); `--full` raises the scale toward the paper's
+//! settings and `--kernels a,b` restricts the held-out kernels. `table1`,
+//! `table3` and `fig4` share one cached evaluation ([`tables::table1_eval`]).
 
-pub mod drivers;
 pub mod loadgen;
 pub mod perf;
 pub mod runtime;
+pub mod tables;
 
-pub use drivers::{EvalConfig, EvalContext};
 pub use loadgen::{fetch_stats_v2, run_load, server_delta, LoadConfig, LoadReport, ServerDelta};
 pub use perf::{PerfConfig, PerfResult};

@@ -993,7 +993,9 @@ fn parse_zoo_config(args: &[String]) -> Result<ModelConfig, String> {
 fn cmd_eval(args: &[String]) -> Result<(), String> {
     let pos = positionals(args)?;
     if let Some(extra) = pos.first() {
-        return Err(format!("unexpected argument `{extra}`; eval takes flags only"));
+        return Err(format!(
+            "unexpected argument `{extra}`; eval takes flags only"
+        ));
     }
     if !args.iter().any(|a| a == "--loko") {
         return Err("eval requires `--loko` (leave-one-kernel-out protocol)".into());
@@ -1018,21 +1020,7 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
         cfg.threads = threads;
         cfg.data.threads = threads;
     }
-    if let Some(list) = flag_value::<String>(args, "--kernels")? {
-        let kernels: Vec<String> = list.split(',').map(|k| k.trim().to_string()).collect();
-        for k in &kernels {
-            if !polybench::KERNEL_NAMES.contains(&k.as_str()) {
-                return Err(format!(
-                    "unknown kernel `{k}`; available: {}",
-                    polybench::KERNEL_NAMES.join(", ")
-                ));
-            }
-        }
-        if kernels.len() < 2 {
-            return Err("`--kernels` needs at least 2 kernels (train on N-1)".into());
-        }
-        cfg.kernels = Some(kernels);
-    }
+    cfg.kernels = powergear::eval::kernels_flag(args)?;
 
     let t0 = Instant::now();
     let report = powergear::eval::run_loko_built(&cfg);

@@ -111,27 +111,20 @@ impl PowerGearConfig {
         }
     }
 
-    /// Converts to a GNN training config for `target` power.
+    /// Converts to a GNN training config for `target` power: the LOKO
+    /// harness's per-target schedule ([`eval::EvalConfig::train_config`])
+    /// over this config's knobs.
     pub fn train_config(&self, target: PowerTarget) -> TrainConfig {
-        let mut cfg = TrainConfig::quick(ModelConfig::hec(self.hidden));
-        cfg.epochs = match target {
-            // the paper trains dynamic power twice as long
-            PowerTarget::Dynamic => self.epochs * 2,
-            PowerTarget::Total => self.epochs,
-        };
-        cfg.label_norm = match target {
-            // static power is a near-constant offset under total power;
-            // standardized labels keep short training runs from collapsing
-            // below the positive-power floor
-            PowerTarget::Total => pg_gnn::LabelNorm::Standardize,
-            PowerTarget::Dynamic => pg_gnn::LabelNorm::MeanScale,
-        };
-        cfg.folds = self.folds;
-        cfg.seeds = self.seeds.clone();
-        cfg.batch_size = self.batch_size;
-        cfg.lr = self.lr;
-        cfg.threads = self.threads;
-        cfg
+        eval::EvalConfig {
+            epochs: self.epochs,
+            folds: self.folds,
+            seeds: self.seeds.clone(),
+            batch_size: self.batch_size,
+            lr: self.lr,
+            threads: self.threads,
+            ..eval::EvalConfig::quick(ModelConfig::hec(self.hidden))
+        }
+        .train_config(target)
     }
 }
 
