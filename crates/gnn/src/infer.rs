@@ -23,10 +23,9 @@
 //! Every value is produced by the same float operations in the same order
 //! as the tape ops it replaces. Matmuls, bias-and-ReLU epilogues, row
 //! scaling, scatter-add/max and the segment softmax are the very
-//! [`Matrix`] kernels the tape ops call. A message added with
-//! [`Matrix::add_matmul_assign`] is rounded as the tape's materialized
-//! product and then added, as the tape's `add_n` adds it, so dropping the
-//! buffer changes no bit. The fused passes add `x[src]·w`
+//! [`Matrix`] kernels the tape ops call; each layer sum adds its messages
+//! with [`Matrix::add_matmul_assign`] in the order the tape's
+//! [`Tape::sum_relu`] adds them. The fused passes add `x[src]·w`
 //! (rounded, as the materialized product was) into destination rows in
 //! edge order, and GINE's message keeps the tape's plain ReLU. Only copies
 //! and allocations disappear, so predictions match the tape forward bit

@@ -29,7 +29,7 @@
 
 use crate::batch::{GraphBatch, RelEdges};
 use pg_graphcon::{PowerGraph, Relation};
-use pg_tensor::{init, Matrix, ParamStore, Tape, Var};
+use pg_tensor::{init, Matrix, ParamStore, Tape, Term, Var};
 use pg_util::Rng64;
 
 /// Convolution architecture.
@@ -275,10 +275,9 @@ impl PowerModel {
             if attention {
                 let (mut wa, mut weh) = (Vec::new(), Vec::new());
                 for k in 0..config.heads {
-                    wa.push(store.register(
-                        &format!("wa{l}_{k}"),
-                        init::glorot(edge_in, 1, &mut rng),
-                    ));
+                    wa.push(
+                        store.register(&format!("wa{l}_{k}"), init::glorot(edge_in, 1, &mut rng)),
+                    );
                     weh.push(store.register(
                         &format!("weh{l}_{k}"),
                         init::glorot(edge_in, h / config.heads, &mut rng),
@@ -470,7 +469,11 @@ impl PowerModel {
         n: usize,
     ) -> Var {
         let wv = self.p(tape, self.slots.wv[l]);
-        let mut terms = vec![tape.matmul(x, wv)];
+        // x·W_v is its own node, recorded before any message: without edge
+        // features x also feeds every group's gather, and backward sums
+        // those contributions in reverse recording order.
+        let base = tape.matmul(x, wv);
+        let mut terms = Vec::new();
         let we = if self.config.heads == 0 {
             Some(self.p(tape, self.slots.we[l]))
         } else {
@@ -498,9 +501,9 @@ impl PowerModel {
                                 p
                             }
                         };
-                        tape.matmul(summed, p)
+                        Term::MatMul(summed, p)
                     } else {
-                        tape.matmul(summed, we)
+                        Term::MatMul(summed, we)
                     }
                 }
                 _ => {
@@ -509,13 +512,17 @@ impl PowerModel {
                         Some(we) => {
                             let hs = tape.gather(x, &edges.src);
                             let summed = tape.scatter_add(hs, &edges.dst, n);
-                            tape.matmul(summed, we)
+                            Term::MatMul(summed, we)
                         }
-                        None => self.attention_agg(tape, x, edges, l, n),
+                        None => Term::Var(self.attention_agg(tape, x, edges, l, n)),
                     };
                     if self.config.heterogeneous {
+                        let agg = match agg {
+                            Term::MatMul(a, b) => tape.matmul(a, b),
+                            Term::Var(a) => a,
+                        };
                         let wr = self.p(tape, self.slots.wr[l][r]);
-                        tape.matmul(agg, wr)
+                        Term::MatMul(agg, wr)
                     } else {
                         agg
                     }
@@ -523,9 +530,8 @@ impl PowerModel {
             };
             terms.push(msg);
         }
-        let s = tape.add_n(terms);
         let b = self.p(tape, self.slots.bias[l]);
-        tape.add_row_relu(s, b)
+        tape.sum_relu(base, terms, b)
     }
 
     /// Multi-head attention-weighted edge aggregation for one relation
@@ -533,14 +539,7 @@ impl PowerModel {
     /// node before the scatter-sum, and head outputs are concatenated back
     /// to the hidden width. Weighting breaks the linearity shortcut of
     /// Eq. 5, so messages are projected after the weighted sum per head.
-    fn attention_agg(
-        &self,
-        tape: &mut Tape,
-        x: Var,
-        edges: &RelEdges,
-        l: usize,
-        n: usize,
-    ) -> Var {
+    fn attention_agg(&self, tape: &mut Tape, x: Var, edges: &RelEdges, l: usize, n: usize) -> Var {
         let ein = if self.config.use_edge_feats {
             tape.leaf(&edges.feats)
         } else {
@@ -580,10 +579,8 @@ impl PowerModel {
         let wv = self.p(tape, self.slots.wv[l]);
         let w2 = self.p(tape, self.slots.w2[l]);
         let self_term = tape.matmul(x, wv);
-        let neigh_term = tape.matmul(mean, w2);
-        let s = tape.add(self_term, neigh_term);
         let b = self.p(tape, self.slots.bias[l]);
-        tape.add_row_relu(s, b)
+        tape.sum_relu(self_term, vec![Term::MatMul(mean, w2)], b)
     }
 
     fn graphconv_layer(
@@ -605,10 +602,8 @@ impl PowerModel {
         let wv = self.p(tape, self.slots.wv[l]);
         let w2 = self.p(tape, self.slots.w2[l]);
         let self_term = tape.matmul(x, wv);
-        let neigh_term = tape.matmul(agg, w2);
-        let s = tape.add(self_term, neigh_term);
         let b = self.p(tape, self.slots.bias[l]);
-        tape.add_row_relu(s, b)
+        tape.sum_relu(self_term, vec![Term::MatMul(agg, w2)], b)
     }
 
     fn gine_layer(&self, tape: &mut Tape, batch: &GraphBatch, x: Var, l: usize, n: usize) -> Var {
@@ -1071,6 +1066,277 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// How the reference forward records a layer's `x·W_v`.
+    #[derive(Clone, Copy, PartialEq)]
+    enum SelfTerm {
+        /// As its own node before the messages: the recording the model
+        /// has always used.
+        First,
+        /// Recorded after the messages but still summed first, as it would
+        /// be as a product term of the fused sum: the forward is
+        /// unchanged, but x's `x·W_v` gradient contribution now arrives
+        /// before the gathers'. Used only to show the wall can fail.
+        Late,
+    }
+
+    /// The training forward as recorded before the fused layer sum: every
+    /// HEC message is a materialized `matmul` node summed by `add_n`, SAGE
+    /// and GraphConv sum their two terms with `add`, and the sum goes
+    /// through `add_row_relu`. GCN and GINE record as the model does.
+    fn unfused_forward(
+        model: &PowerModel,
+        tape: &mut Tape,
+        batch: &GraphBatch,
+        rng: &mut Rng64,
+        self_term: SelfTerm,
+    ) -> Var {
+        let n = batch.num_nodes;
+        let mut x = tape.leaf(&batch.node_feats);
+        let edge_sums = model.hec_edge_sums(tape, batch);
+        let mut layer_outputs = Vec::new();
+        for l in 0..model.config.layers {
+            let h = match model.config.arch {
+                Arch::Hec => unfused_hec_layer(model, tape, batch, &edge_sums, x, l, self_term),
+                Arch::Sage | Arch::GraphConv => {
+                    unfused_sage_graphconv_layer(model, tape, batch, x, l)
+                }
+                Arch::Gcn => model.gcn_layer(tape, batch, x, l, n),
+                Arch::Gine => model.gine_layer(tape, batch, x, l, n),
+            };
+            let h = tape.dropout(h, model.config.dropout, true, rng);
+            layer_outputs.push(h);
+            x = h;
+        }
+        model.readout(tape, batch, layer_outputs)
+    }
+
+    fn unfused_hec_layer(
+        model: &PowerModel,
+        tape: &mut Tape,
+        batch: &GraphBatch,
+        edge_sums: &[Option<Var>],
+        x: Var,
+        l: usize,
+        self_term: SelfTerm,
+    ) -> Var {
+        let (cfg, n) = (&model.config, batch.num_nodes);
+        let wv = model.p(tape, model.slots.wv[l]);
+        let mut terms = Vec::new();
+        if self_term == SelfTerm::First {
+            terms.push(tape.matmul(x, wv));
+        }
+        let we = (cfg.heads == 0).then(|| model.p(tape, model.slots.we[l]));
+        let mut rel_proj: [Option<Var>; Relation::COUNT] = [None; Relation::COUNT];
+        for (g, (r, edges)) in model.hec_groups(batch).into_iter().enumerate() {
+            if edges.is_empty() {
+                continue;
+            }
+            let msg = match (we, edge_sums.get(g).copied().flatten()) {
+                (Some(we), Some(summed)) if cfg.heterogeneous => {
+                    let p = *rel_proj[r].get_or_insert_with(|| {
+                        let wr = model.p(tape, model.slots.wr[l][r]);
+                        tape.matmul(we, wr)
+                    });
+                    tape.matmul(summed, p)
+                }
+                (Some(we), Some(summed)) => tape.matmul(summed, we),
+                _ => {
+                    let agg = match we {
+                        Some(we) => {
+                            let hs = tape.gather(x, &edges.src);
+                            let summed = tape.scatter_add(hs, &edges.dst, n);
+                            tape.matmul(summed, we)
+                        }
+                        None => model.attention_agg(tape, x, edges, l, n),
+                    };
+                    if cfg.heterogeneous {
+                        let wr = model.p(tape, model.slots.wr[l][r]);
+                        tape.matmul(agg, wr)
+                    } else {
+                        agg
+                    }
+                }
+            };
+            terms.push(msg);
+        }
+        if self_term == SelfTerm::Late {
+            let xw = tape.matmul(x, wv);
+            terms.insert(0, xw);
+        }
+        let s = tape.add_n(terms);
+        let b = model.p(tape, model.slots.bias[l]);
+        tape.add_row_relu(s, b)
+    }
+
+    fn unfused_sage_graphconv_layer(
+        model: &PowerModel,
+        tape: &mut Tape,
+        batch: &GraphBatch,
+        x: Var,
+        l: usize,
+    ) -> Var {
+        let (all, n) = (&batch.all, batch.num_nodes);
+        let hs = tape.gather(x, &all.src);
+        let neigh = if model.config.arch == Arch::Sage {
+            let inv_deg: Vec<f32> = batch.in_degree.iter().map(|&d| 1.0 / d.max(1.0)).collect();
+            let agg = tape.scatter_add(hs, &all.dst, n);
+            tape.scale_rows(agg, &inv_deg)
+        } else {
+            let ew: Vec<f32> = (0..all.len())
+                .map(|e| all.feats.row(e).iter().sum::<f32>() / 4.0)
+                .collect();
+            let hw = tape.scale_rows(hs, &ew);
+            tape.scatter_add(hw, &all.dst, n)
+        };
+        let wv = model.p(tape, model.slots.wv[l]);
+        let w2 = model.p(tape, model.slots.w2[l]);
+        let self_term = tape.matmul(x, wv);
+        let neigh_term = tape.matmul(neigh, w2);
+        let s = tape.add(self_term, neigh_term);
+        let b = model.p(tape, model.slots.bias[l]);
+        tape.add_row_relu(s, b)
+    }
+
+    /// `loss_and_grads_in` with the forward recorded by [`unfused_forward`].
+    fn unfused_loss_and_grads(
+        model: &PowerModel,
+        batch: &GraphBatch,
+        rng: &mut Rng64,
+        self_term: SelfTerm,
+    ) -> (f64, Vec<Option<Matrix>>) {
+        let mut tape = Tape::new();
+        let pred = unfused_forward(model, &mut tape, batch, rng, self_term);
+        let scaled: Vec<f32> = batch
+            .targets
+            .iter()
+            .map(|&t| (t - model.target_shift) / model.target_scale)
+            .collect();
+        let loss = if model.target_shift == 0.0 {
+            tape.mape_loss(pred, &scaled)
+        } else {
+            tape.mse_loss(pred, &scaled)
+        };
+        let value = tape.value(loss).data[0] as f64;
+        (value, tape.backward(loss))
+    }
+
+    /// Loss bits and every gradient slot's bits.
+    type Bits = (u64, Vec<Option<Vec<u32>>>);
+
+    fn bits((loss, grads): (f64, Vec<Option<Matrix>>)) -> Bits {
+        let grads = grads
+            .iter()
+            .map(|g| {
+                g.as_ref()
+                    .map(|g| g.data.iter().map(|v| v.to_bits()).collect())
+            })
+            .collect();
+        (loss.to_bits(), grads)
+    }
+
+    /// Every `Arch` × ablation switch × `Pool` × `heads ∈ {0, 2}` model,
+    /// each with a random batch, perturbed weights (so ReLU thresholds sit
+    /// off the defaults) and a label normalization that alternates between
+    /// MAPE and MSE losses. Yields the case name, model and batch.
+    fn wall_cases() -> Vec<(String, PowerModel, GraphBatch)> {
+        let archs = [
+            Arch::Hec,
+            Arch::Gcn,
+            Arch::Sage,
+            Arch::GraphConv,
+            Arch::Gine,
+        ];
+        let mut cases = Vec::new();
+        let mut seed = 0u64;
+        for arch in archs {
+            for switches in 0..16u32 {
+                for pool in Pool::ALL {
+                    for heads in [0, 2] {
+                        seed += 1;
+                        let mut cfg = ModelConfig::baseline(arch, 8)
+                            .with_pool(pool)
+                            .with_heads(heads);
+                        cfg.use_edge_feats = switches & 1 != 0;
+                        cfg.directed = switches & 2 != 0;
+                        cfg.heterogeneous = switches & 4 != 0;
+                        cfg.use_metadata = switches & 8 != 0;
+                        let name =
+                            format!("{} switches={switches:04b} seed={seed}", cfg.zoo_name());
+                        let mut rng = Rng64::new(seed ^ 0xa11);
+                        let graphs: Vec<PowerGraph> = (0..1 + rng.below(4))
+                            .map(|i| random_graph(seed * 8 + i as u64))
+                            .collect();
+                        let refs: Vec<&PowerGraph> = graphs.iter().collect();
+                        let targets: Vec<f64> = refs.iter().map(|_| 0.5 + rng.f64()).collect();
+                        let batch = GraphBatch::new(&refs, &targets);
+                        let mut model = PowerModel::new(cfg, seed);
+                        for slot in 0..model.store.len() {
+                            for v in &mut model.store.get_mut(slot).data {
+                                *v += (rng.f32() - 0.5) * 0.2;
+                            }
+                        }
+                        if seed.is_multiple_of(2) {
+                            model.target_shift = 0.4;
+                        }
+                        cases.push((name, model, batch));
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn fused_layer_sum_gives_bitwise_equal_loss_and_gradients() {
+        // One long-lived tape, as a training worker keeps it.
+        let mut tape = Tape::new();
+        for (name, model, batch) in wall_cases() {
+            let seed = 0xd0 ^ name.len() as u64;
+            let got = bits(model.loss_and_grads_in(&batch, &mut Rng64::new(seed), &mut tape));
+            let want = bits(unfused_loss_and_grads(
+                &model,
+                &batch,
+                &mut Rng64::new(seed),
+                SelfTerm::First,
+            ));
+            assert!(got.1.iter().any(Option::is_some), "{name}: no gradients");
+            assert!(
+                got == want,
+                "{name}: loss or a gradient differs from the unfused recording"
+            );
+        }
+    }
+
+    #[test]
+    fn bitwise_wall_catches_a_moved_self_term() {
+        // Recording x·W_v after the messages leaves the forward as it is,
+        // but x's gradient then sums its contributions in a different
+        // order. Without edge features x feeds every gather, so the wall
+        // must see the difference.
+        let mut caught = 0;
+        for (name, model, batch) in wall_cases() {
+            let cfg = &model.config;
+            if cfg.arch != Arch::Hec || cfg.use_edge_feats || cfg.heads != 0 || cfg.layers < 2 {
+                continue;
+            }
+            let seed = 0xd0 ^ name.len() as u64;
+            let fused = bits(model.loss_and_grads(&batch, &mut Rng64::new(seed)));
+            let moved = bits(unfused_loss_and_grads(
+                &model,
+                &batch,
+                &mut Rng64::new(seed),
+                SelfTerm::Late,
+            ));
+            if fused != moved {
+                caught += 1;
+            }
+        }
+        assert!(
+            caught > 0,
+            "the wall cannot tell a moved x·W_v from the fused recording"
+        );
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! * [`Tape`] — reverse-mode autodiff over matmul / bias / ReLU / dropout /
 //!   concat / sum-pool / **gather & scatter-add rows** (the message-passing
 //!   primitives) / row scaling, plus fused `linear_bias_relu` /
-//!   `add_row_relu` nodes for the convolution hot path, with MAPE and MSE
-//!   losses. [`Tape::reset`] recycles node, value and gradient buffers
-//!   into arenas, so steady-state training and serving loops allocate
-//!   nothing per step;
+//!   `add_row_relu` / `sum_relu` nodes for the convolution hot path, with
+//!   MAPE and MSE losses. [`Tape::backward`] skips every node no
+//!   parameter gradient flows through, and [`Tape::reset`] recycles node,
+//!   value and gradient buffers into arenas, so steady-state training and
+//!   serving loops allocate nothing per step;
 //! * [`Adam`], [`ParamStore`], [`GradAccum`] — optimization and
 //!   sample-weighted data-parallel gradient accumulation (shard merges
 //!   weight each shard by its sample count, so uneven shards average
@@ -56,4 +57,4 @@ pub mod tape;
 
 pub use matrix::Matrix;
 pub use optim::{Adam, GradAccum, ParamStore};
-pub use tape::{Tape, Var};
+pub use tape::{Tape, Term, Var};

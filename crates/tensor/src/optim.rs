@@ -172,12 +172,6 @@ impl GradAccum {
     pub fn samples(&self) -> usize {
         self.samples
     }
-
-    /// Total number of samples accumulated (alias kept for older call
-    /// sites).
-    pub fn count(&self) -> usize {
-        self.samples
-    }
 }
 
 /// Adam optimizer state.
@@ -212,6 +206,10 @@ impl Adam {
 
     /// Applies one update step with mean gradients `grads` (slots align with
     /// `store`). `None` slots are skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gradient's length differs from its parameter's.
     pub fn step(&mut self, store: &mut ParamStore, grads: &[Option<Matrix>]) {
         if self.m.len() < store.len() {
             for i in self.m.len()..store.len() {
@@ -223,18 +221,20 @@ impl Adam {
         self.t += 1;
         let b1c = 1.0 - self.beta1.powi(self.t);
         let b2c = 1.0 - self.beta2.powi(self.t);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
         for (slot, g) in grads.iter().enumerate() {
             let Some(g) = g else { continue };
             let p = store.get_mut(slot);
-            let m = &mut self.m[slot];
-            let v = &mut self.v[slot];
-            for k in 0..p.len() {
-                let gk = g.data[k];
-                m.data[k] = self.beta1 * m.data[k] + (1.0 - self.beta1) * gk;
-                v.data[k] = self.beta2 * v.data[k] + (1.0 - self.beta2) * gk * gk;
-                let mhat = m.data[k] / b1c;
-                let vhat = v.data[k] / b2c;
-                p.data[k] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            assert_eq!(g.len(), p.len(), "gradient shape mismatch in slot {slot}");
+            let (m, v) = (&mut self.m[slot].data, &mut self.v[slot].data);
+            // Zipped, not indexed: no bounds checks, so the loop vectorizes.
+            let elems = p.data.iter_mut().zip(m.iter_mut()).zip(v.iter_mut());
+            for (((p, m), v), &gk) in elems.zip(&g.data) {
+                *m = beta1 * *m + (1.0 - beta1) * gk;
+                *v = beta2 * *v + (1.0 - beta2) * gk * gk;
+                let mhat = *m / b1c;
+                let vhat = *v / b2c;
+                *p -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }
@@ -331,6 +331,74 @@ mod tests {
         }
         let val = store.get(w).data[0];
         assert!((val - 3.0).abs() < 0.05, "converged to {val}");
+    }
+
+    /// `Adam::step`'s update as an indexed loop: the reference for the
+    /// zipped one.
+    fn reference_step(
+        opt: &Adam,
+        m: &mut [Matrix],
+        v: &mut [Matrix],
+        t: i32,
+        store: &mut ParamStore,
+        grads: &[Option<Matrix>],
+    ) {
+        let b1c = 1.0 - opt.beta1.powi(t);
+        let b2c = 1.0 - opt.beta2.powi(t);
+        for (slot, g) in grads.iter().enumerate() {
+            let Some(g) = g else { continue };
+            let p = store.get_mut(slot);
+            let (m, v) = (&mut m[slot], &mut v[slot]);
+            for k in 0..p.len() {
+                let gk = g.data[k];
+                m.data[k] = opt.beta1 * m.data[k] + (1.0 - opt.beta1) * gk;
+                v.data[k] = opt.beta2 * v.data[k] + (1.0 - opt.beta2) * gk * gk;
+                let mhat = m.data[k] / b1c;
+                let vhat = v.data[k] / b2c;
+                p.data[k] -= opt.lr * mhat / (vhat.sqrt() + opt.eps);
+            }
+        }
+    }
+
+    #[test]
+    fn adam_step_matches_indexed_reference_bitwise() {
+        let mut rng = pg_util::Rng64::new(11);
+        let mut store = ParamStore::new();
+        for (rows, cols) in [(34, 32), (4, 32), (1, 32), (32, 1), (1, 1)] {
+            store.register("p", crate::init::glorot(rows, cols, &mut rng));
+        }
+        let mut want = store.clone();
+        let zeros = |s: &ParamStore| -> Vec<Matrix> {
+            s.all()
+                .iter()
+                .map(|p| Matrix::zeros(p.rows, p.cols))
+                .collect()
+        };
+        let (mut m, mut v) = (zeros(&store), zeros(&store));
+        let mut opt = Adam::new(5e-3);
+        for t in 1..=50 {
+            // Gradients of mixed sign and scale, with one slot skipped on
+            // alternate steps.
+            let grads: Vec<Option<Matrix>> = store
+                .all()
+                .iter()
+                .enumerate()
+                .map(|(slot, p)| {
+                    (slot != 2 || t % 2 == 0).then(|| {
+                        let data = (0..p.len())
+                            .map(|_| (rng.f32() - 0.5) * 10f32.powi(t % 5 - 2))
+                            .collect();
+                        Matrix::from_vec(p.rows, p.cols, data)
+                    })
+                })
+                .collect();
+            opt.step(&mut store, &grads);
+            reference_step(&opt, &mut m, &mut v, t, &mut want, &grads);
+            for (got, want) in store.all().iter().zip(want.all()) {
+                let bits = |x: &Matrix| x.data.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want), "step {t}");
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,33 @@
 //! set is exactly what the GNN models need: matmul, broadcast bias, ReLU,
 //! dropout, column concatenation, row summation, row gather/scatter (the
 //! message-passing primitives), per-row scaling (normalized adjacency), and
-//! two fused ops — [`Tape::linear_bias_relu`] (`relu(x·W + b)`) and
-//! [`Tape::add_row_relu`] (`relu(a + b)`) — that collapse the per-layer
-//! `matmul → add_row → relu` chain into one node without materializing the
-//! intermediates.
+//! three fused ops that collapse a layer's chain into one node without
+//! materializing the intermediates:
+//!
+//! * [`Tape::linear_bias_relu`] — `relu(x·W + b)`, the
+//!   `matmul → add_row → relu` chain;
+//! * [`Tape::add_row_relu`] — `relu(a + b)`, for a pre-summed input;
+//! * [`Tape::sum_relu`] — `relu(base + Σ termᵢ + b)`, a convolution's
+//!   pre-activation sum, where each [`Term`] is a node or a product `a·b`.
+//!   Products are added by [`Matrix::add_matmul_assign`], so no message
+//!   buffer exists in the forward, and the backward hands the masked
+//!   gradient to every term without cloning it per term.
+//!
+//! Each fused op gives the same bits, forward and backward, as its unfused
+//! chain.
+//!
+//! # Gradient pruning
+//!
+//! Every node records at push time whether a gradient can reach a
+//! parameter through it: a parameter leaf does, a constant leaf does not,
+//! and any other node does if one of its inputs does. [`Tape::backward`]
+//! computes, allocates and stores no gradient for a node without the flag,
+//! so a constant subgraph (batch features, edge-feature sums, the gather
+//! and scatter of constant inputs) costs nothing in backward, and a matmul
+//! by a constant left operand yields only its right operand's gradient.
+//! Pruning drops only gradients that nothing reads; every parameter
+//! gradient is summed from the same contributions in the same order, so it
+//! is bit-identical to an unpruned backward.
 //!
 //! # Arena reuse
 //!
@@ -49,6 +72,15 @@ use pg_util::Rng64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
+/// One addend of [`Tape::sum_relu`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Term {
+    /// A node's value, added as is.
+    Var(Var),
+    /// The product `a · b`, added without materializing it.
+    MatMul(Var, Var),
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Leaf {
@@ -63,6 +95,12 @@ enum Op {
     LinearBiasRelu(Var, Var, Var),
     /// `relu(a + bias)` in one node, for pre-summed layer inputs.
     AddRowRelu(Var, Var),
+    /// `relu(base + Σ terms + bias)` in one node.
+    SumRelu {
+        base: Var,
+        terms: Vec<Term>,
+        bias: Var,
+    },
     /// An empty mask means identity (eval mode) — no per-element buffer.
     Dropout(Var, Vec<f32>),
     ConcatCols(Var, Var),
@@ -86,6 +124,9 @@ enum Op {
 struct Node {
     value: Matrix,
     op: Op,
+    /// Whether a gradient reaching this node can flow on to a parameter
+    /// (see "Gradient pruning" in the module docs).
+    needs_grad: bool,
 }
 
 /// A reverse-mode autodiff tape with pooled (arena-reused) buffers.
@@ -163,8 +204,48 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+        let needs = |v: &Var| self.nodes[v.0].needs_grad;
+        let needs_grad = match &op {
+            Op::Leaf { param } => param.is_some(),
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddRow(a, b)
+            | Op::AddRowRelu(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::MulCol(a, b) => needs(a) || needs(b),
+            Op::LinearBiasRelu(a, w, b) => needs(a) || needs(w) || needs(b),
+            Op::AddN(vars) => vars.iter().any(needs),
+            Op::SumRelu { base, terms, bias } => {
+                needs(base)
+                    || needs(bias)
+                    || terms.iter().any(|t| match t {
+                        Term::Var(a) => needs(a),
+                        Term::MatMul(a, b) => needs(a) || needs(b),
+                    })
+            }
+            Op::Relu(a)
+            | Op::Dropout(a, _)
+            | Op::SumRows(a)
+            | Op::Gather(a, _)
+            | Op::ScatterAdd(a, _)
+            | Op::ScaleRows(a, _)
+            | Op::Scale(a, _)
+            | Op::MapeLoss(a, _)
+            | Op::MseLoss(a, _)
+            | Op::ScatterMax(a, _, _)
+            | Op::SegmentSoftmax(a, _) => needs(a),
+        };
+        self.nodes.push(Node {
+            value,
+            op,
+            needs_grad,
+        });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Whether backward propagates a gradient into `v`.
+    fn needs_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].needs_grad
     }
 
     /// Value of a node.
@@ -197,11 +278,7 @@ impl Tape {
     /// tape-free inference forward). Pair with [`Tape::recycle`] so the
     /// buffer returns to the pool.
     pub fn scratch(&mut self) -> Matrix {
-        Matrix {
-            rows: 0,
-            cols: 0,
-            data: take_f32(&mut self.f32_pool, 0),
-        }
+        empty(&mut self.f32_pool)
     }
 
     /// Returns a matrix's storage to the tape's pool.
@@ -211,12 +288,7 @@ impl Tape {
 
     /// `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (rows, cols) = (self.nodes[a.0].value.rows, self.nodes[b.0].value.cols);
-        let mut out = Matrix {
-            rows: 0,
-            cols: 0,
-            data: take_f32(&mut self.f32_pool, rows * cols),
-        };
+        let mut out = self.scratch();
         self.nodes[a.0]
             .value
             .matmul_into(&self.nodes[b.0].value, &mut out);
@@ -311,6 +383,38 @@ impl Tape {
         self.push(v, Op::AddRowRelu(a, bias))
     }
 
+    /// Fused `relu(base + Σ terms + bias)`: a convolution's pre-activation
+    /// sum as one node. The terms are added to a copy of `base` in order —
+    /// a [`Term::MatMul`] by [`Matrix::add_matmul_assign`], which rounds
+    /// the product exactly as [`Tape::matmul`] would before adding it — so
+    /// the value equals `add_row_relu(add_n([base, t₁, …]), bias)` with
+    /// each product recorded by `matmul`, bit for bit, and so does every
+    /// gradient.
+    ///
+    /// Backward visits the terms in reverse, as it would the separate
+    /// product nodes. A node with three or more gradient contributions
+    /// sums them in that order, so a product whose left operand also feeds
+    /// other nodes (a layer's `x·W_v`) belongs in `base`, recorded by
+    /// [`Tape::matmul`] where the unfused chain recorded it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a term's shape differs from `base` or `bias` is not
+    /// `1 × base.cols`.
+    pub fn sum_relu(&mut self, base: Var, terms: Vec<Term>, bias: Var) -> Var {
+        let mut v = copy_matrix(&mut self.f32_pool, &self.nodes[base.0].value);
+        for t in &terms {
+            match *t {
+                Term::Var(a) => v.add_assign(&self.nodes[a.0].value),
+                Term::MatMul(a, b) => {
+                    v.add_matmul_assign(&self.nodes[a.0].value, &self.nodes[b.0].value)
+                }
+            }
+        }
+        v.add_row_relu_assign(&self.nodes[bias.0].value);
+        self.push(v, Op::SumRelu { base, terms, bias })
+    }
+
     /// Inverted dropout with keep-probability `1 - p`; pass `train = false`
     /// for identity.
     pub fn dropout(&mut self, a: Var, p: f32, train: bool, rng: &mut Rng64) -> Var {
@@ -326,21 +430,25 @@ impl Tape {
             return self.push(v, Op::Dropout(a, Vec::new()));
         }
         let keep = 1.0 - p;
+        let (scale, cutoff) = (1.0 / keep, keep_cutoff(keep));
         let n = self.nodes[a.0].value.len();
         let mut mask = take_f32(&mut self.f32_pool, n);
-        for m in &mut mask {
-            *m = if rng.f32() < keep { 1.0 / keep } else { 0.0 };
-        }
-        let data = copy_f32(&mut self.f32_pool, &self.nodes[a.0].value.data);
+        let mut data = take_f32(&mut self.f32_pool, n);
         let av = &self.nodes[a.0].value;
-        let mut v = Matrix {
+        // Keeps an element exactly when `rng.f32() < keep` would.
+        for ((m, o), &x) in mask.iter_mut().zip(&mut data).zip(&av.data) {
+            *m = if rng.next_u64() >> 11 < cutoff {
+                scale
+            } else {
+                0.0
+            };
+            *o = x * *m;
+        }
+        let v = Matrix {
             rows: av.rows,
             cols: av.cols,
             data,
         };
-        for (x, m) in v.data.iter_mut().zip(&mask) {
-            *x *= m;
-        }
         self.push(v, Op::Dropout(a, mask))
     }
 
@@ -539,11 +647,14 @@ impl Tape {
     }
 
     /// Runs backpropagation from `loss` (must be `1 × 1`), returning one
-    /// gradient slot per parameter index used (missing slots are `None`).
+    /// gradient slot per parameter index used (missing slots are `None`,
+    /// and so is every slot when no parameter reaches `loss`).
     ///
-    /// Intermediate gradient buffers are recycled into the tape pools as
-    /// they are consumed, so steady-state backward passes allocate only
-    /// the returned parameter gradients.
+    /// Only nodes through which a gradient reaches a parameter receive one
+    /// (see "Gradient pruning" in the module docs). Intermediate gradient
+    /// buffers are recycled into the tape pools as they are consumed, so
+    /// steady-state backward passes allocate only the returned parameter
+    /// gradients.
     ///
     /// # Panics
     ///
@@ -554,13 +665,16 @@ impl Tape {
             self.nodes[loss.0].value.is_finite(),
             "non-finite loss at the tape boundary"
         );
+        let mut out: Vec<Option<Matrix>> = vec![None; self.num_params];
+        if !self.needs_grad(loss) {
+            return out;
+        }
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
         grads[loss.0] = Some(Matrix {
             rows: 1,
             cols: 1,
             data: copy_f32(&mut self.f32_pool, &[1.0]),
         });
-        let mut out: Vec<Option<Matrix>> = vec![None; self.num_params];
 
         for i in (0..=loss.0).rev() {
             let Some(g) = grads[i].take() else { continue };
@@ -580,56 +694,45 @@ impl Tape {
                 }
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let ga = {
-                        let mut ga = Matrix {
-                            rows: 0,
-                            cols: 0,
-                            data: take_f32(&mut self.f32_pool, 0),
-                        };
+                    if self.needs_grad(a) {
+                        let mut ga = self.scratch();
                         g.matmul_nt_into(&self.nodes[b.0].value, &mut ga);
-                        ga
-                    };
-                    let gb = {
-                        let mut gb = Matrix {
-                            rows: 0,
-                            cols: 0,
-                            data: take_f32(&mut self.f32_pool, 0),
-                        };
+                        accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    }
+                    if self.needs_grad(b) {
+                        let mut gb = self.scratch();
                         self.nodes[a.0].value.matmul_tn_into(&g, &mut gb);
-                        gb
-                    };
+                        accumulate(&mut self.f32_pool, &mut grads, b, gb);
+                    }
                     self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
-                    accumulate(&mut self.f32_pool, &mut grads, b, gb);
                 }
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
-                    let gc = self.clone_grad(&g);
-                    accumulate(&mut self.f32_pool, &mut grads, a, gc);
-                    accumulate(&mut self.f32_pool, &mut grads, b, g);
+                    if self.needs_grad(a) {
+                        let gc = copy_matrix(&mut self.f32_pool, &g);
+                        accumulate(&mut self.f32_pool, &mut grads, a, gc);
+                    }
+                    self.pass_grad(&mut grads, b, g);
                 }
                 Op::AddRow(a, bias) => {
                     let (a, bias) = (*a, *bias);
-                    let gb = self.colsum(&g);
-                    accumulate(&mut self.f32_pool, &mut grads, bias, gb);
-                    accumulate(&mut self.f32_pool, &mut grads, a, g);
+                    self.bias_grad(&mut grads, bias, &g);
+                    self.pass_grad(&mut grads, a, g);
                 }
                 Op::AddN(vars) => {
                     let vars = vars.clone();
-                    for v in &vars[1..] {
-                        let gc = self.clone_grad(&g);
-                        accumulate(&mut self.f32_pool, &mut grads, *v, gc);
+                    for &v in &vars[1..] {
+                        if self.needs_grad(v) {
+                            let gc = copy_matrix(&mut self.f32_pool, &g);
+                            accumulate(&mut self.f32_pool, &mut grads, v, gc);
+                        }
                     }
-                    accumulate(&mut self.f32_pool, &mut grads, vars[0], g);
+                    self.pass_grad(&mut grads, vars[0], g);
                 }
                 Op::Relu(a) => {
                     let a = *a;
                     let mut ga = g;
-                    for (x, &v) in ga.data.iter_mut().zip(&self.nodes[i].value.data) {
-                        if v <= 0.0 {
-                            *x = 0.0;
-                        }
-                    }
+                    relu_mask(&mut ga, &self.nodes[i].value);
                     accumulate(&mut self.f32_pool, &mut grads, a, ga);
                 }
                 Op::LinearBiasRelu(a, w, bias) => {
@@ -638,46 +741,69 @@ impl Tape {
                     // the three operand gradients exactly as the unfused
                     // relu → add_row → matmul chain would.
                     let mut gm = g;
-                    for (x, &v) in gm.data.iter_mut().zip(&self.nodes[i].value.data) {
-                        if v <= 0.0 {
-                            *x = 0.0;
-                        }
-                    }
-                    let gb = self.colsum(&gm);
-                    let ga = {
-                        let mut ga = Matrix {
-                            rows: 0,
-                            cols: 0,
-                            data: take_f32(&mut self.f32_pool, 0),
-                        };
+                    relu_mask(&mut gm, &self.nodes[i].value);
+                    self.bias_grad(&mut grads, bias, &gm);
+                    if self.needs_grad(a) {
+                        let mut ga = self.scratch();
                         gm.matmul_nt_into(&self.nodes[w.0].value, &mut ga);
-                        ga
-                    };
-                    let gw = {
-                        let mut gw = Matrix {
-                            rows: 0,
-                            cols: 0,
-                            data: take_f32(&mut self.f32_pool, 0),
-                        };
+                        accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    }
+                    if self.needs_grad(w) {
+                        let mut gw = self.scratch();
                         self.nodes[a.0].value.matmul_tn_into(&gm, &mut gw);
-                        gw
-                    };
+                        accumulate(&mut self.f32_pool, &mut grads, w, gw);
+                    }
                     self.f32_pool.push(gm.data);
-                    accumulate(&mut self.f32_pool, &mut grads, bias, gb);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
-                    accumulate(&mut self.f32_pool, &mut grads, w, gw);
                 }
                 Op::AddRowRelu(a, bias) => {
                     let (a, bias) = (*a, *bias);
                     let mut gm = g;
-                    for (x, &v) in gm.data.iter_mut().zip(&self.nodes[i].value.data) {
-                        if v <= 0.0 {
-                            *x = 0.0;
+                    relu_mask(&mut gm, &self.nodes[i].value);
+                    self.bias_grad(&mut grads, bias, &gm);
+                    self.pass_grad(&mut grads, a, gm);
+                }
+                Op::SumRelu { .. } => {
+                    // The per-term work below borrows the node list and the
+                    // pool side by side, so the tape is split by field.
+                    let Tape {
+                        nodes, f32_pool, ..
+                    } = &mut *self;
+                    let Op::SumRelu { base, terms, bias } = &nodes[i].op else {
+                        unreachable!()
+                    };
+                    let needs = |v: Var| nodes[v.0].needs_grad;
+                    let mut gm = g;
+                    relu_mask(&mut gm, &nodes[i].value);
+                    if needs(*bias) {
+                        let gb = colsum(f32_pool, &gm);
+                        accumulate(f32_pool, &mut grads, *bias, gb);
+                    }
+                    // Reverse order: the unfused chain's product nodes were
+                    // recorded in term order and so were visited backwards.
+                    for t in terms.iter().rev() {
+                        match *t {
+                            Term::Var(a) => {
+                                if needs(a) {
+                                    let ga = copy_matrix(f32_pool, &gm);
+                                    accumulate(f32_pool, &mut grads, a, ga);
+                                }
+                            }
+                            Term::MatMul(a, b) => {
+                                if needs(a) {
+                                    let mut ga = empty(f32_pool);
+                                    gm.matmul_nt_into(&nodes[b.0].value, &mut ga);
+                                    accumulate(f32_pool, &mut grads, a, ga);
+                                }
+                                if needs(b) {
+                                    let mut gb = empty(f32_pool);
+                                    nodes[a.0].value.matmul_tn_into(&gm, &mut gb);
+                                    accumulate(f32_pool, &mut grads, b, gb);
+                                }
+                            }
                         }
                     }
-                    let gb = self.colsum(&gm);
-                    accumulate(&mut self.f32_pool, &mut grads, bias, gb);
-                    accumulate(&mut self.f32_pool, &mut grads, a, gm);
+                    let base = *base;
+                    self.pass_grad(&mut grads, base, gm);
                 }
                 Op::Dropout(a, mask) => {
                     let a = *a;
@@ -692,23 +818,21 @@ impl Tape {
                 Op::ConcatCols(a, b) => {
                     let (a, b) = (*a, *b);
                     let (ca, cb) = (self.nodes[a.0].value.cols, self.nodes[b.0].value.cols);
-                    let mut ga = Matrix {
-                        rows: g.rows,
-                        cols: ca,
-                        data: take_f32(&mut self.f32_pool, g.rows * ca),
-                    };
-                    let mut gb = Matrix {
-                        rows: g.rows,
-                        cols: cb,
-                        data: take_f32(&mut self.f32_pool, g.rows * cb),
-                    };
-                    for r in 0..g.rows {
-                        ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                        gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
+                    for (v, lo, width) in [(a, 0, ca), (b, ca, cb)] {
+                        if !self.needs_grad(v) {
+                            continue;
+                        }
+                        let mut gv = Matrix {
+                            rows: g.rows,
+                            cols: width,
+                            data: take_f32(&mut self.f32_pool, g.rows * width),
+                        };
+                        for r in 0..g.rows {
+                            gv.row_mut(r).copy_from_slice(&g.row(r)[lo..lo + width]);
+                        }
+                        accumulate(&mut self.f32_pool, &mut grads, v, gv);
                     }
                     self.f32_pool.push(g.data);
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
-                    accumulate(&mut self.f32_pool, &mut grads, b, gb);
                 }
                 Op::SumRows(a) => {
                     let a = *a;
@@ -871,58 +995,61 @@ impl Tape {
                 }
                 Op::MulCol(a, w) => {
                     let (a, w) = (*a, *w);
-                    let rows = g.rows;
-                    let mut gw = Matrix {
-                        rows,
-                        cols: 1,
-                        data: take_f32(&mut self.f32_pool, rows),
-                    };
-                    let av = &self.nodes[a.0].value;
-                    for r in 0..rows {
-                        let mut acc = 0.0f32;
-                        for (&gx, &ax) in g.row(r).iter().zip(av.row(r)) {
-                            acc += gx * ax;
+                    let gw = self.needs_grad(w).then(|| {
+                        let rows = g.rows;
+                        let mut gw = Matrix {
+                            rows,
+                            cols: 1,
+                            data: take_f32(&mut self.f32_pool, rows),
+                        };
+                        let av = &self.nodes[a.0].value;
+                        for r in 0..rows {
+                            let mut acc = 0.0f32;
+                            for (&gx, &ax) in g.row(r).iter().zip(av.row(r)) {
+                                acc += gx * ax;
+                            }
+                            gw.data[r] = acc;
                         }
-                        gw.data[r] = acc;
-                    }
-                    let wv = &self.nodes[w.0].value;
-                    let mut ga = g;
-                    for (r, &k) in wv.data.iter().enumerate() {
-                        for x in ga.row_mut(r) {
-                            *x *= k;
+                        gw
+                    });
+                    if self.needs_grad(a) {
+                        let wv = &self.nodes[w.0].value;
+                        let mut ga = g;
+                        for (r, &k) in wv.data.iter().enumerate() {
+                            for x in ga.row_mut(r) {
+                                *x *= k;
+                            }
                         }
+                        accumulate(&mut self.f32_pool, &mut grads, a, ga);
+                    } else {
+                        self.f32_pool.push(g.data);
                     }
-                    accumulate(&mut self.f32_pool, &mut grads, a, ga);
-                    accumulate(&mut self.f32_pool, &mut grads, w, gw);
+                    if let Some(gw) = gw {
+                        accumulate(&mut self.f32_pool, &mut grads, w, gw);
+                    }
                 }
             }
         }
         out
     }
 
-    /// Pool-backed copy of a gradient matrix.
-    fn clone_grad(&mut self, g: &Matrix) -> Matrix {
-        let data = copy_f32(&mut self.f32_pool, &g.data);
-        Matrix {
-            rows: g.rows,
-            cols: g.cols,
-            data,
+    /// Hands `g` on to `v`, or returns its buffer to the pool when no
+    /// gradient flows into `v`.
+    fn pass_grad(&mut self, grads: &mut [Option<Matrix>], v: Var, g: Matrix) {
+        if self.needs_grad(v) {
+            accumulate(&mut self.f32_pool, grads, v, g);
+        } else {
+            self.f32_pool.push(g.data);
         }
     }
 
-    /// Pool-backed column sum `[n, d] → [1, d]` (bias gradient).
-    fn colsum(&mut self, g: &Matrix) -> Matrix {
-        let mut gb = Matrix {
-            rows: 1,
-            cols: g.cols,
-            data: take_f32(&mut self.f32_pool, g.cols),
-        };
-        for r in 0..g.rows {
-            for (o, &x) in gb.data.iter_mut().zip(g.row(r)) {
-                *o += x;
-            }
+    /// Accumulates the column sum of `g` into `bias` when a gradient flows
+    /// into it.
+    fn bias_grad(&mut self, grads: &mut [Option<Matrix>], bias: Var, g: &Matrix) {
+        if self.needs_grad(bias) {
+            let gb = colsum(&mut self.f32_pool, g);
+            accumulate(&mut self.f32_pool, grads, bias, gb);
         }
-        gb
     }
 
     /// Number of nodes recorded (for memory diagnostics).
@@ -933,6 +1060,63 @@ impl Tape {
     /// `true` when the tape is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+}
+
+/// `u·2⁻⁵³` rounded to `f32`: what [`Rng64::f32`] returns for a draw whose
+/// top 53 bits are `u`.
+fn unit_f32(u: u64) -> f32 {
+    (u as f64 * (1.0 / (1u64 << 53) as f64)) as f32
+}
+
+/// The dropout keep test as an integer compare: `rng.f32() < keep` holds
+/// exactly when `rng.next_u64() >> 11 < keep_cutoff(keep)`. [`unit_f32`]
+/// is monotone in `u`, so the draws below `keep` are a prefix of
+/// `0..2⁵³`, and a binary search finds where it ends. The compare skips
+/// two float conversions per element.
+fn keep_cutoff(keep: f32) -> u64 {
+    let (mut lo, mut hi) = (0u64, 1u64 << 53);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if unit_f32(mid) < keep {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// An empty matrix whose storage comes from `pool`.
+fn empty(pool: &mut Vec<Vec<f32>>) -> Matrix {
+    Matrix {
+        rows: 0,
+        cols: 0,
+        data: take_f32(pool, 0),
+    }
+}
+
+/// Pool-backed column sum `[n, d] → [1, d]` (bias gradient).
+fn colsum(pool: &mut Vec<Vec<f32>>, g: &Matrix) -> Matrix {
+    let mut gb = Matrix {
+        rows: 1,
+        cols: g.cols,
+        data: take_f32(pool, g.cols),
+    };
+    for r in 0..g.rows {
+        for (o, &x) in gb.data.iter_mut().zip(g.row(r)) {
+            *o += x;
+        }
+    }
+    gb
+}
+
+/// Zeroes the entries of `g` where the ReLU output `out` is not positive.
+fn relu_mask(g: &mut Matrix, out: &Matrix) {
+    for (x, &v) in g.data.iter_mut().zip(&out.data) {
+        if v <= 0.0 {
+            *x = 0.0;
+        }
     }
 }
 
@@ -1092,6 +1276,118 @@ mod tests {
         for (f, p) in fused_grads.iter().zip(&plain_grads) {
             assert_eq!(f, p, "fused gradient diverged from unfused chain");
         }
+    }
+
+    /// Bit patterns of every gradient slot, for bitwise comparison.
+    fn grad_bits(grads: &[Option<Matrix>]) -> Vec<Option<Vec<u32>>> {
+        grads
+            .iter()
+            .map(|g| {
+                g.as_ref()
+                    .map(|g| g.data.iter().map(|v| v.to_bits()).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sum_relu_matches_unfused_chain_bitwise() {
+        // x feeds the base product, a gather and the loss, so it has three
+        // gradient contributions; `p` appears in two product terms.
+        let mut rng = Rng64::new(5);
+        let mut rand = |r: usize, c: usize| {
+            Matrix::from_vec(r, c, (0..r * c).map(|_| rng.f32() - 0.5).collect())
+        };
+        let (x, wv, p, q, b) = (rand(6, 5), rand(5, 3), rand(5, 3), rand(6, 3), rand(1, 3));
+        let c = rand(6, 5);
+        let record = |t: &mut Tape, fused: bool| {
+            let xv = t.param(0, &x);
+            let (wvv, pv, qv, bv) = (
+                t.param(1, &wv),
+                t.param(2, &p),
+                t.param(3, &q),
+                t.param(4, &b),
+            );
+            let cv = t.leaf(&c);
+            let base = t.matmul(xv, wvv);
+            let gx = t.gather(xv, &[5, 4, 3, 2, 1, 0]);
+            let h = if fused {
+                let terms = vec![Term::MatMul(gx, pv), Term::Var(qv), Term::MatMul(cv, pv)];
+                t.sum_relu(base, terms, bv)
+            } else {
+                let m1 = t.matmul(gx, pv);
+                let m2 = t.matmul(cv, pv);
+                let s = t.add_n(vec![base, m1, qv, m2]);
+                t.add_row_relu(s, bv)
+            };
+            let pooled = t.sum_rows(h);
+            let px = t.sum_rows(xv);
+            let u = t.leaf(&Matrix::from_vec(3, 1, vec![1.0, -0.5, 0.25]));
+            let y1 = t.matmul(pooled, u);
+            let w = t.leaf(&Matrix::from_vec(5, 1, vec![0.3, 0.1, -0.2, 0.4, -0.1]));
+            let y2 = t.matmul(px, w);
+            let y = t.add(y1, y2);
+            let loss = t.mse_loss(y, &[0.7]);
+            let value = t.value(h).clone();
+            (value, t.backward(loss))
+        };
+        let (fused_value, fused_grads) = record(&mut Tape::new(), true);
+        let (plain_value, plain_grads) = record(&mut Tape::new(), false);
+        assert_eq!(fused_value, plain_value);
+        assert!(fused_value.data.contains(&0.0), "ReLU mask unexercised");
+        assert_eq!(grad_bits(&fused_grads), grad_bits(&plain_grads));
+    }
+
+    #[test]
+    fn constant_subgraph_is_pruned_and_param_grad_is_exact() {
+        let feats = Matrix::from_vec(
+            5,
+            2,
+            vec![0.5, -1.0, 0.25, 2.0, -0.75, 1.5, 1.0, 0.1, -0.3, 0.6],
+        );
+        let w = Matrix::from_vec(2, 1, vec![0.8, -0.4]);
+        let targets = [0.3, -0.2, 0.9];
+        let mut t = Tape::new();
+        let x = t.leaf(&feats);
+        let gathered = t.gather(x, &[4, 0, 0, 3, 1, 2]);
+        let summed = t.scatter_add(gathered, &[2, 0, 1, 1, 2, 0], 3);
+        let wv = t.param(0, &w);
+        let y = t.matmul(summed, wv);
+        let loss = t.mse_loss(y, &targets);
+        for v in [x, gathered, summed] {
+            assert!(!t.needs_grad(v), "constant node flagged");
+        }
+        for v in [wv, y, loss] {
+            assert!(t.needs_grad(v), "parameter path not flagged");
+        }
+        let s = t.value(summed).clone();
+        let yv = t.value(y).clone();
+        let grads = t.backward(loss);
+
+        // The same gradient by hand: the MSE backward's row gradient, then
+        // one explicit `Sᵀ·g`.
+        let scale = 2.0 * 1.0 / targets.len() as f32;
+        let gy: Vec<f32> = targets
+            .iter()
+            .enumerate()
+            .map(|(r, &tg)| scale * (yv.data[r] - tg))
+            .collect();
+        let mut want = Matrix::default();
+        s.matmul_tn_into(&Matrix::from_vec(3, 1, gy), &mut want);
+        assert_eq!(grad_bits(&grads), grad_bits(&[Some(want)]));
+    }
+
+    #[test]
+    fn loss_reaching_no_parameter_returns_all_none() {
+        let mut t = Tape::new();
+        let _unused = t.param(1, &Matrix::scalar(2.0));
+        let x = t.leaf(&Matrix::from_vec(2, 1, vec![1.0, -3.0]));
+        let r = t.relu(x);
+        let loss = t.mse_loss(r, &[0.5, 0.5]);
+        let pool_before = t.f32_pool.len();
+        let grads = t.backward(loss);
+        assert_eq!(grads.len(), 2);
+        assert!(grads.iter().all(Option::is_none));
+        assert_eq!(t.f32_pool.len(), pool_before, "backward touched the pool");
     }
 
     #[test]
@@ -1295,6 +1591,38 @@ mod tests {
             let y = t.matmul(s, v);
             t.mse_loss(y, &[0.1])
         });
+    }
+
+    #[test]
+    fn dropout_mask_matches_f32_draws() {
+        // `unit_f32` is `Rng64::f32`'s conversion, draw for draw.
+        let (mut a, mut b) = (Rng64::new(3), Rng64::new(3));
+        for _ in 0..100_000 {
+            assert_eq!(a.f32().to_bits(), unit_f32(b.next_u64() >> 11).to_bits());
+        }
+        for p in [0.2f32, 0.5, 0.9, 1e-7, 0.99999994, 1.0, f32::NAN] {
+            let keep = 1.0 - p;
+            let cut = keep_cutoff(keep);
+            // The cutoff sits exactly on the boundary of the f32 compare.
+            assert!(cut == 0 || unit_f32(cut - 1) < keep, "p={p}");
+            assert!(
+                cut == 1 << 53 || unit_f32(cut) >= keep || keep.is_nan(),
+                "p={p}"
+            );
+            // And the tape's mask equals the one the f32 draws give.
+            let mut t = Tape::new();
+            let x = t.leaf(&Matrix::from_vec(1, 4096, vec![1.5; 4096]));
+            let d = t.dropout(x, p, true, &mut Rng64::new(9));
+            let mut rng = Rng64::new(9);
+            let want: Vec<u32> = (0..4096)
+                .map(|_| {
+                    let m = if rng.f32() < keep { 1.0 / keep } else { 0.0 };
+                    (1.5 * m).to_bits()
+                })
+                .collect();
+            let got: Vec<u32> = t.value(d).data.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "p={p}");
+        }
     }
 
     #[test]
