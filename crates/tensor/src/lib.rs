@@ -6,10 +6,11 @@
 //! need and nothing more:
 //!
 //! * [`Matrix`] — dense row-major `f32` matrices with register-tiled,
-//!   autovectorizable matmul kernels (plain, `·ᵀ`, `ᵀ·`) that sum in a
-//!   fixed k-ascending order — results are bit-identical across runs,
-//!   call sites and thread counts (contract in the [`matrix`] module
-//!   docs);
+//!   autovectorizable matmul kernels (plain, `·ᵀ`, `ᵀ·`), each compiled
+//!   portably and, on x86-64, for AVX2, chosen per call. Every element is
+//!   summed in one fixed order, so results are bit-identical across runs,
+//!   call sites, thread counts and CPUs (contract in the [`matrix`]
+//!   module docs);
 //! * [`Tape`] — reverse-mode autodiff over matmul / bias / ReLU / dropout /
 //!   concat / sum-pool / **gather & scatter-add rows** (the message-passing
 //!   primitives) / row scaling, plus fused `linear_bias_relu` /

@@ -140,18 +140,25 @@ pub struct Tape {
     u32_pool: Vec<Vec<u32>>,
 }
 
-/// Pops a buffer from `pool` (or allocates) and resizes it to `len` zeros.
-fn take_f32(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
+/// Pops a buffer from `pool` (or allocates) and resizes it to `len` zeros,
+/// for ops that add into their output.
+fn take_zeroed(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
+    let mut b = take_empty(pool);
+    b.resize(len, 0.0);
+    b
+}
+
+/// Pops a buffer from `pool` (or allocates) and empties it, for ops that
+/// append every value of their output.
+fn take_empty(pool: &mut Vec<Vec<f32>>) -> Vec<f32> {
     let mut b = pool.pop().unwrap_or_default();
     b.clear();
-    b.resize(len, 0.0);
     b
 }
 
 /// Pops a buffer from `pool` (or allocates) and copies `src` into it.
 fn copy_f32(pool: &mut Vec<Vec<f32>>, src: &[f32]) -> Vec<f32> {
-    let mut b = pool.pop().unwrap_or_default();
-    b.clear();
+    let mut b = take_empty(pool);
     b.extend_from_slice(src);
     b
 }
@@ -431,19 +438,18 @@ impl Tape {
         }
         let keep = 1.0 - p;
         let (scale, cutoff) = (1.0 / keep, keep_cutoff(keep));
-        let n = self.nodes[a.0].value.len();
-        let mut mask = take_f32(&mut self.f32_pool, n);
-        let mut data = take_f32(&mut self.f32_pool, n);
+        let mut mask = take_empty(&mut self.f32_pool);
+        let mut data = take_empty(&mut self.f32_pool);
         let av = &self.nodes[a.0].value;
         // Keeps an element exactly when `rng.f32() < keep` would.
-        for ((m, o), &x) in mask.iter_mut().zip(&mut data).zip(&av.data) {
-            *m = if rng.next_u64() >> 11 < cutoff {
+        mask.extend(av.data.iter().map(|_| {
+            if rng.next_u64() >> 11 < cutoff {
                 scale
             } else {
                 0.0
-            };
-            *o = x * *m;
-        }
+            }
+        }));
+        data.extend(av.data.iter().zip(&mask).map(|(&x, &m)| x * m));
         let v = Matrix {
             rows: av.rows,
             cols: av.cols,
@@ -463,24 +469,25 @@ impl Tape {
             assert_eq!(ma.rows, mb.rows, "concat_cols row mismatch");
             (ma.rows, ma.cols, mb.cols)
         };
-        let data = take_f32(&mut self.f32_pool, rows * (ca + cb));
+        let mut data = take_empty(&mut self.f32_pool);
+        data.reserve(rows * (ca + cb));
         let (ma, mb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        let mut v = Matrix {
+        for r in 0..rows {
+            data.extend_from_slice(ma.row(r));
+            data.extend_from_slice(mb.row(r));
+        }
+        let v = Matrix {
             rows,
             cols: ca + cb,
             data,
         };
-        for r in 0..rows {
-            v.row_mut(r)[..ca].copy_from_slice(ma.row(r));
-            v.row_mut(r)[ca..].copy_from_slice(mb.row(r));
-        }
         self.push(v, Op::ConcatCols(a, b))
     }
 
     /// Column-wise sum over rows: `[n, d] → [1, d]`.
     pub fn sum_rows(&mut self, a: Var) -> Var {
         let cols = self.nodes[a.0].value.cols;
-        let data = take_f32(&mut self.f32_pool, cols);
+        let data = take_zeroed(&mut self.f32_pool, cols);
         let m = &self.nodes[a.0].value;
         let mut v = Matrix {
             rows: 1,
@@ -498,17 +505,18 @@ impl Tape {
     /// Gathers rows: `out[i] = a[idx[i]]`.
     pub fn gather(&mut self, a: Var, idx: &[u32]) -> Var {
         let cols = self.nodes[a.0].value.cols;
-        let data = take_f32(&mut self.f32_pool, idx.len() * cols);
+        let mut data = take_empty(&mut self.f32_pool);
+        data.reserve(idx.len() * cols);
         let owned_idx = copy_u32(&mut self.u32_pool, idx);
         let m = &self.nodes[a.0].value;
-        let mut v = Matrix {
+        for &j in idx {
+            data.extend_from_slice(m.row(j as usize));
+        }
+        let v = Matrix {
             rows: idx.len(),
             cols,
             data,
         };
-        for (i, &j) in idx.iter().enumerate() {
-            v.row_mut(i).copy_from_slice(m.row(j as usize));
-        }
         self.push(v, Op::Gather(a, owned_idx))
     }
 
@@ -545,8 +553,8 @@ impl Tape {
     pub fn segment_softmax(&mut self, a: Var, seg: &[u32], segments: usize) -> Var {
         let owned_seg = copy_u32(&mut self.u32_pool, seg);
         let mut v = copy_matrix(&mut self.f32_pool, &self.nodes[a.0].value);
-        let mut maxes = take_f32(&mut self.f32_pool, 0);
-        let mut sums = take_f32(&mut self.f32_pool, 0);
+        let mut maxes = take_empty(&mut self.f32_pool);
+        let mut sums = take_empty(&mut self.f32_pool);
         v.segment_softmax_assign(seg, segments, &mut maxes, &mut sums);
         self.f32_pool.push(maxes);
         self.f32_pool.push(sums);
@@ -602,7 +610,7 @@ impl Tape {
     /// Panics if shapes disagree.
     pub fn mape_loss(&mut self, pred: Var, targets: &[f32]) -> Var {
         let owned_t = copy_f32(&mut self.f32_pool, targets);
-        let mut data = take_f32(&mut self.f32_pool, 1);
+        let mut data = take_empty(&mut self.f32_pool);
         let p = &self.nodes[pred.0].value;
         assert_eq!(p.cols, 1, "predictions must be a column");
         assert_eq!(p.rows, targets.len(), "target count mismatch");
@@ -612,7 +620,7 @@ impl Tape {
                 acc += ((p.data[i] - t) / t).abs();
             }
         }
-        data[0] = acc / targets.len().max(1) as f32;
+        data.push(acc / targets.len().max(1) as f32);
         let v = Matrix {
             rows: 1,
             cols: 1,
@@ -628,7 +636,7 @@ impl Tape {
     /// Panics if shapes disagree.
     pub fn mse_loss(&mut self, pred: Var, targets: &[f32]) -> Var {
         let owned_t = copy_f32(&mut self.f32_pool, targets);
-        let mut data = take_f32(&mut self.f32_pool, 1);
+        let mut data = take_empty(&mut self.f32_pool);
         let p = &self.nodes[pred.0].value;
         assert_eq!(p.cols, 1, "predictions must be a column");
         assert_eq!(p.rows, targets.len(), "target count mismatch");
@@ -637,7 +645,7 @@ impl Tape {
             let d = p.data[i] - t;
             acc += d * d;
         }
-        data[0] = acc / targets.len().max(1) as f32;
+        data.push(acc / targets.len().max(1) as f32);
         let v = Matrix {
             rows: 1,
             cols: 1,
@@ -822,14 +830,16 @@ impl Tape {
                         if !self.needs_grad(v) {
                             continue;
                         }
-                        let mut gv = Matrix {
+                        let mut data = take_empty(&mut self.f32_pool);
+                        data.reserve(g.rows * width);
+                        for r in 0..g.rows {
+                            data.extend_from_slice(&g.row(r)[lo..lo + width]);
+                        }
+                        let gv = Matrix {
                             rows: g.rows,
                             cols: width,
-                            data: take_f32(&mut self.f32_pool, g.rows * width),
+                            data,
                         };
-                        for r in 0..g.rows {
-                            gv.row_mut(r).copy_from_slice(&g.row(r)[lo..lo + width]);
-                        }
                         accumulate(&mut self.f32_pool, &mut grads, v, gv);
                     }
                     self.f32_pool.push(g.data);
@@ -837,14 +847,16 @@ impl Tape {
                 Op::SumRows(a) => {
                     let a = *a;
                     let rows = self.nodes[a.0].value.rows;
-                    let mut ga = Matrix {
+                    let mut data = take_empty(&mut self.f32_pool);
+                    data.reserve(rows * g.cols);
+                    for _ in 0..rows {
+                        data.extend_from_slice(g.row(0));
+                    }
+                    let ga = Matrix {
                         rows,
                         cols: g.cols,
-                        data: take_f32(&mut self.f32_pool, rows * g.cols),
+                        data,
                     };
-                    for r in 0..rows {
-                        ga.row_mut(r).copy_from_slice(g.row(0));
-                    }
                     self.f32_pool.push(g.data);
                     accumulate(&mut self.f32_pool, &mut grads, a, ga);
                 }
@@ -857,7 +869,7 @@ impl Tape {
                     let mut ga = Matrix {
                         rows,
                         cols,
-                        data: take_f32(&mut self.f32_pool, rows * cols),
+                        data: take_zeroed(&mut self.f32_pool, rows * cols),
                     };
                     let Op::Gather(_, idx) = &self.nodes[i].op else {
                         unreachable!()
@@ -877,17 +889,17 @@ impl Tape {
                         let src = &self.nodes[a.0].value;
                         (src.rows, src.cols)
                     };
-                    let mut ga = Matrix {
-                        rows,
-                        cols,
-                        data: take_f32(&mut self.f32_pool, rows * cols),
-                    };
                     let Op::ScatterAdd(_, idx) = &self.nodes[i].op else {
                         unreachable!()
                     };
-                    for (r, &j) in idx.iter().enumerate() {
-                        ga.row_mut(r).copy_from_slice(g.row(j as usize));
+                    let mut data = take_empty(&mut self.f32_pool);
+                    data.reserve(rows * cols);
+                    for &j in idx {
+                        data.extend_from_slice(g.row(j as usize));
                     }
+                    // Rows past `idx` scattered nothing and get no gradient.
+                    data.resize(rows * cols, 0.0);
+                    let ga = Matrix { rows, cols, data };
                     self.f32_pool.push(g.data);
                     accumulate(&mut self.f32_pool, &mut grads, a, ga);
                 }
@@ -912,21 +924,24 @@ impl Tape {
                     let rows = self.nodes[pred.0].value.rows;
                     let n = targets.len().max(1) as f32;
                     let scale = g.data[0] / n;
-                    let mut gp = Matrix {
-                        rows,
-                        cols: 1,
-                        data: take_f32(&mut self.f32_pool, rows),
-                    };
                     let Op::MapeLoss(_, targets) = &self.nodes[i].op else {
                         unreachable!()
                     };
                     let p = &self.nodes[pred.0].value;
-                    for (r, &t) in targets.iter().enumerate() {
+                    let mut data = take_empty(&mut self.f32_pool);
+                    data.extend(targets.iter().zip(&p.data).map(|(&t, &pv)| {
                         if t.abs() > 1e-12 {
-                            let sign = if p.data[r] >= t { 1.0 } else { -1.0 };
-                            gp.data[r] = scale * sign / t.abs();
+                            let sign = if pv >= t { 1.0 } else { -1.0 };
+                            scale * sign / t.abs()
+                        } else {
+                            0.0
                         }
-                    }
+                    }));
+                    let gp = Matrix {
+                        rows,
+                        cols: 1,
+                        data,
+                    };
                     self.f32_pool.push(g.data);
                     accumulate(&mut self.f32_pool, &mut grads, pred, gp);
                 }
@@ -935,18 +950,22 @@ impl Tape {
                     let rows = self.nodes[pred.0].value.rows;
                     let n = targets.len().max(1) as f32;
                     let scale = 2.0 * g.data[0] / n;
-                    let mut gp = Matrix {
-                        rows,
-                        cols: 1,
-                        data: take_f32(&mut self.f32_pool, rows),
-                    };
                     let Op::MseLoss(_, targets) = &self.nodes[i].op else {
                         unreachable!()
                     };
                     let p = &self.nodes[pred.0].value;
-                    for (r, &t) in targets.iter().enumerate() {
-                        gp.data[r] = scale * (p.data[r] - t);
-                    }
+                    let mut data = take_empty(&mut self.f32_pool);
+                    data.extend(
+                        targets
+                            .iter()
+                            .zip(&p.data)
+                            .map(|(&t, &pv)| scale * (pv - t)),
+                    );
+                    let gp = Matrix {
+                        rows,
+                        cols: 1,
+                        data,
+                    };
                     self.f32_pool.push(g.data);
                     accumulate(&mut self.f32_pool, &mut grads, pred, gp);
                 }
@@ -959,7 +978,7 @@ impl Tape {
                     let mut ga = Matrix {
                         rows,
                         cols,
-                        data: take_f32(&mut self.f32_pool, rows * cols),
+                        data: take_zeroed(&mut self.f32_pool, rows * cols),
                     };
                     let Op::ScatterMax(_, _, argmax) = &self.nodes[i].op else {
                         unreachable!()
@@ -980,7 +999,7 @@ impl Tape {
                         unreachable!()
                     };
                     let segments = seg.iter().max().map_or(0, |&m| m as usize + 1);
-                    let mut dots = take_f32(&mut self.f32_pool, segments);
+                    let mut dots = take_zeroed(&mut self.f32_pool, segments);
                     let y = &self.nodes[i].value;
                     for (r, &s) in seg.iter().enumerate() {
                         dots[s as usize] += y.data[r] * g.data[r];
@@ -997,20 +1016,20 @@ impl Tape {
                     let (a, w) = (*a, *w);
                     let gw = self.needs_grad(w).then(|| {
                         let rows = g.rows;
-                        let mut gw = Matrix {
-                            rows,
-                            cols: 1,
-                            data: take_f32(&mut self.f32_pool, rows),
-                        };
                         let av = &self.nodes[a.0].value;
-                        for r in 0..rows {
+                        let mut data = take_empty(&mut self.f32_pool);
+                        data.extend((0..rows).map(|r| {
                             let mut acc = 0.0f32;
                             for (&gx, &ax) in g.row(r).iter().zip(av.row(r)) {
                                 acc += gx * ax;
                             }
-                            gw.data[r] = acc;
+                            acc
+                        }));
+                        Matrix {
+                            rows,
+                            cols: 1,
+                            data,
                         }
-                        gw
                     });
                     if self.needs_grad(a) {
                         let wv = &self.nodes[w.0].value;
@@ -1092,7 +1111,7 @@ fn empty(pool: &mut Vec<Vec<f32>>) -> Matrix {
     Matrix {
         rows: 0,
         cols: 0,
-        data: take_f32(pool, 0),
+        data: take_empty(pool),
     }
 }
 
@@ -1101,7 +1120,7 @@ fn colsum(pool: &mut Vec<Vec<f32>>, g: &Matrix) -> Matrix {
     let mut gb = Matrix {
         rows: 1,
         cols: g.cols,
-        data: take_f32(pool, g.cols),
+        data: take_zeroed(pool, g.cols),
     };
     for r in 0..g.rows {
         for (o, &x) in gb.data.iter_mut().zip(g.row(r)) {
@@ -1411,6 +1430,72 @@ mod tests {
         assert!(!t.is_empty());
         t.reset();
         assert!(t.is_empty());
+    }
+
+    /// One step through every op that takes an output buffer from the
+    /// pool; returns the loss and every gradient as bit patterns.
+    fn pool_probe_step(t: &mut Tape) -> Vec<u32> {
+        let seq = |r: usize, c: usize, k: f32| {
+            Matrix::from_vec(r, c, (0..r * c).map(|v| ((v as f32) * k).sin()).collect())
+        };
+        let x = t.leaf(&seq(5, 3, 0.9));
+        let w = t.param(0, &seq(3, 4, 0.7));
+        let b = t.param(1, &seq(1, 4, 1.3));
+        let e = t.param(2, &seq(4, 4, 0.4));
+        let ev = t.param(3, &seq(4, 1, 1.1));
+        let v8 = t.param(4, &seq(8, 1, 0.6));
+        let h = t.linear_bias_relu(x, w, b);
+        let d = t.dropout(h, 0.3, true, &mut Rng64::new(4));
+        let g = t.gather(d, &[0, 2, 4, 1, 1, 3]);
+        let s = t.scatter_add(g, &[1, 0, 1, 4, 2, 2], 5);
+        let m = t.scatter_max(g, &[0, 0, 3, 3, 4, 1], 5);
+        let c = t.concat_cols(s, m);
+        let xw = t.matmul(x, w);
+        let z = t.sum_relu(xw, vec![Term::MatMul(s, e), Term::Var(m)], b);
+        let r = t.add_row_relu(s, b);
+        let r = t.scale_rows(r, &[0.5, -1.0, 2.0, 0.25, 1.5]);
+        let r = t.scale(r, 0.75);
+        let r = t.relu(r);
+        let z = t.add_n(vec![z, r, m]);
+        let z = t.add_row(z, b);
+        let sc = t.matmul(z, ev);
+        let sm = t.segment_softmax(sc, &[0, 0, 1, 1, 1], 2);
+        let mc = t.mul_col(z, sm);
+        let p1 = t.matmul(c, v8);
+        let p2 = t.matmul(mc, ev);
+        let pred = t.add(p1, p2);
+        let l1 = t.mape_loss(pred, &[1.0, 0.0, -2.0, 0.5, 3.0]);
+        let l2 = t.mse_loss(pred, &[0.5, 1.0, -1.0, 0.0, 2.0]);
+        let pooled = t.sum_rows(c);
+        let l3 = t.matmul(pooled, v8);
+        let loss = t.add_n(vec![l1, l2, l3]);
+        let mut bits: Vec<u32> = t.value(loss).data.iter().map(|v| v.to_bits()).collect();
+        for grad in t.backward(loss) {
+            let grad = grad.expect("every parameter gets a gradient");
+            bits.extend(grad.data.iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn nan_poisoned_pool_matches_fresh_tape() {
+        // Ops that overwrite their whole output take pooled buffers without
+        // zero-filling them; a stale value must never reach a result.
+        let want = pool_probe_step(&mut Tape::new());
+        assert!(want.iter().all(|&v| !f32::from_bits(v).is_nan()));
+        let mut t = Tape::new();
+        for _ in 0..3 {
+            pool_probe_step(&mut t);
+            t.reset();
+            assert!(!t.f32_pool.is_empty());
+            for buf in &mut t.f32_pool {
+                let len = buf.capacity().max(64);
+                buf.clear();
+                buf.resize(len, f32::NAN);
+            }
+            assert_eq!(pool_probe_step(&mut t), want);
+            t.reset();
+        }
     }
 
     #[test]
